@@ -16,12 +16,14 @@
 //!   Dividends*): test, divide `|x|`, negate the quotient.
 //!
 //! The multiplier's shift-add chain comes from [`addchain`]; several `z`
-//! exponents are tried and the cheapest pair-precision cost wins (the paper:
-//! "there are an infinite number of choices for z").
+//! exponents are tried, over one chain-search memo, and the cheapest
+//! pair-precision cost wins (the paper: "there are an infinite number of
+//! choices for z"). Planning runs under the register budget being compiled
+//! for and hands its chain to the emitter, so each compile searches once.
 
 use core::fmt;
 
-use addchain::{find_chain, Chain, Ref, Step};
+use addchain::{Chain, Ref, RuleConfig, RuleSearcher, Step};
 use pa_isa::{Cond, Im11, IsaError, Program, ProgramBuilder, Reg};
 
 use crate::magic::Magic;
@@ -176,7 +178,8 @@ impl From<IsaError> for DivCodegenError {
 
 /// Chooses the strategy for `y` (`signedness` affects the dividend bound the
 /// derived method must cover: `2^31` instead of `2^32`, which occasionally
-/// buys a smaller `z`).
+/// buys a smaller `z`). The multiplier's chain is chosen to fit the register
+/// budget of [`DivCodegenConfig::default`].
 ///
 /// # Errors
 ///
@@ -194,28 +197,38 @@ impl From<IsaError> for DivCodegenError {
 /// # Ok::<(), divconst::DivCodegenError>(())
 /// ```
 pub fn plan(y: u32, signedness: Signedness) -> Result<DivStrategy, DivCodegenError> {
+    plan_for(y, signedness, &DivCodegenConfig::default()).map(|(strategy, _)| strategy)
+}
+
+/// [`plan`] under `config`'s register budget, also handing back the chain a
+/// derived-method strategy was costed with, so emitting it searches nothing.
+fn plan_for(
+    y: u32,
+    signedness: Signedness,
+    config: &DivCodegenConfig,
+) -> Result<(DivStrategy, Option<Chain>), DivCodegenError> {
     if y == 0 {
         return Err(DivCodegenError::ZeroDivisor);
     }
-    let strategy = if y == 1 {
-        DivStrategy::Identity
+    let (strategy, chain) = if y == 1 {
+        (DivStrategy::Identity, None)
     } else if y.is_power_of_two() {
-        DivStrategy::PowerOfTwo {
-            k: y.trailing_zeros(),
-        }
+        let k = y.trailing_zeros();
+        (DivStrategy::PowerOfTwo { k }, None)
     } else if y.trailing_zeros() > 0 {
         let k = y.trailing_zeros();
-        DivStrategy::EvenSplit { k, odd: y >> k }
+        (DivStrategy::EvenSplit { k, odd: y >> k }, None)
     } else {
-        let (magic, chain) = choose_magic(y, signedness);
-        DivStrategy::Magic {
+        let (magic, chain) = choose_magic_with(y, signedness, config);
+        let strategy = DivStrategy::Magic {
             triple: !magic_fits_pair(&magic, signedness),
             chain_len: chain.len(),
             magic,
-        }
+        };
+        (strategy, Some(chain))
     };
     telemetry::emit(|| plan_event(y, signedness, &strategy));
-    Ok(strategy)
+    Ok((strategy, chain))
 }
 
 /// Builds the [`telemetry::Event::DivPlan`] record for a chosen strategy.
@@ -295,14 +308,25 @@ fn peak_live(chain: &Chain) -> usize {
     peak
 }
 
-/// Tries several `z` exponents and keeps the cheapest chain that fits the
-/// register budget.
-fn choose_magic_with(
-    y: u32,
-    signedness: Signedness,
-    slots_available: impl Fn(bool) -> usize,
-) -> (Magic, Chain) {
+/// Tries several `z` exponents and keeps the cheapest chain that fits
+/// `config`'s register budget.
+fn choose_magic_with(y: u32, signedness: Signedness, config: &DivCodegenConfig) -> (Magic, Chain) {
     let need = needed_reach(signedness);
+    // One searcher per rule set for the whole scan: consecutive multipliers
+    // satisfy a_{s+1} ∈ {2a_s, 2a_s + 1}, so their search trees overlap.
+    let mut full = RuleSearcher::new(RuleConfig::default());
+    // Without the register-hungry split rules.
+    let mut no_splits = RuleSearcher::new(RuleConfig {
+        allow_splits: false,
+        ..RuleConfig::default()
+    });
+    // Binary rules only (no factor method), whose chains keep at most three
+    // values live — longer code, but it always fits.
+    let mut binary = RuleSearcher::new(RuleConfig {
+        allow_splits: false,
+        max_divisor_search: 1,
+        ..RuleConfig::default()
+    });
     let mut best: Option<(u64, Magic, Chain)> = None;
     let mut fallback: Option<(u64, Magic, Chain)> = None;
     let mut s = 32;
@@ -311,26 +335,13 @@ fn choose_magic_with(
         if let Ok(m) = Magic::derive_for(y, s, need) {
             seen_valid += 1;
             let triple = !magic_fits_pair(&m, signedness);
-            let slots = slots_available(triple);
-            let mut chain = find_chain(m.a() as i64);
+            let slots = slots_for(config, if triple { 3 } else { 2 });
+            let mut chain = full.find(m.a() as i64);
             if peak_live(&chain) > slots {
-                // Retry without the register-hungry split rules.
-                let lean = addchain::RuleConfig {
-                    allow_splits: false,
-                    ..addchain::RuleConfig::default()
-                };
-                chain = addchain::find_chain_with(m.a() as i64, &lean);
+                chain = no_splits.find(m.a() as i64);
             }
             if peak_live(&chain) > slots {
-                // Last resort: binary rules only (no factor method), whose
-                // chains keep at most three values live — longer code, but
-                // it always fits.
-                let binary = addchain::RuleConfig {
-                    allow_splits: false,
-                    max_divisor_search: 1,
-                    ..addchain::RuleConfig::default()
-                };
-                chain = addchain::find_chain_with(m.a() as i64, &binary);
+                chain = binary.find(m.a() as i64);
             }
             let cost = magic_cost(&m, &chain, signedness);
             let fits = peak_live(&chain) <= slots;
@@ -345,15 +356,6 @@ fn choose_magic_with(
         .or(fallback)
         .expect("some s in 32..=63 is always valid for odd y ≥ 3");
     (m, chain)
-}
-
-fn choose_magic(y: u32, signedness: Signedness) -> (Magic, Chain) {
-    // Budget of the default configuration (the `plan` entry point has no
-    // config in hand; compile paths re-choose with the real one).
-    let default_cfg = DivCodegenConfig::default();
-    choose_magic_with(y, signedness, |triple| {
-        slots_for(&default_cfg, if triple { 3 } else { 2 })
-    })
 }
 
 /// How many `width`-word slots a configuration's register pool yields.
@@ -461,7 +463,8 @@ fn emit_div(
     x: Reg,
     b: &mut ProgramBuilder,
 ) -> Result<(), DivCodegenError> {
-    match plan(y, signedness)? {
+    let (strategy, chain) = plan_for(y, signedness, config)?;
+    match strategy {
         DivStrategy::Identity => {
             b.copy(x, config.dest);
             Ok(())
@@ -482,11 +485,8 @@ fn emit_div(
             };
             emit_div(odd, signedness, &inner, t, b)
         }
-        DivStrategy::Magic { .. } => {
-            // Re-choose with the actual register budget of this config.
-            let (magic, chain) = choose_magic_with(y, signedness, |triple| {
-                slots_for(config, if triple { 3 } else { 2 })
-            });
+        DivStrategy::Magic { magic, .. } => {
+            let chain = chain.expect("derived-method plans carry their chain");
             match signedness {
                 Signedness::Unsigned => emit_magic_unsigned(&magic, &chain, config, x, b),
                 Signedness::Signed => emit_magic_signed(&magic, &chain, config, x, b),

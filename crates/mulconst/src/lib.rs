@@ -147,6 +147,15 @@ impl From<IsaError> for CodegenError {
 /// See [`CodegenError`]; with default configs only register conflicts are
 /// possible, and the defaults cannot conflict.
 pub fn compile_mul_const(n: i64, config: &CodegenConfig) -> Result<Program, CodegenError> {
+    if config.check_overflow && n == 0 {
+        // x·0 cannot overflow, so the checked multiply is the unchecked one
+        // (whose one-step `a₀ - a₀` chain has no trapping form).
+        let unchecked = CodegenConfig {
+            check_overflow: false,
+            ..config.clone()
+        };
+        return compile_mul_const(0, &unchecked);
+    }
     let rules = if config.check_overflow {
         RuleConfig::overflow_safe()
     } else {
@@ -252,7 +261,8 @@ fn emit_chain(
     if steps.is_empty() {
         // Multiplication by one: copy.
         if negate_result {
-            b.sub(Reg::R0, config.source, config.dest);
+            // The checked ×(−1): SUBO traps on i32::MIN.
+            b.subo(Reg::R0, config.source, config.dest);
         } else {
             b.copy(config.source, config.dest);
         }

@@ -6,7 +6,8 @@
 //! each pinned across all three execution paths: one-shot interpreter,
 //! pre-decoded prepared program, and batch.
 
-use hppa_muldiv::{millicode, Compiler, Error, Runtime, Signedness};
+use hppa_muldiv::divconst::{compile_div_const, DivCodegenConfig};
+use hppa_muldiv::{millicode, telemetry, Compiler, Error, Runtime, Signedness};
 use millicode::divvar::DIV_ZERO_BREAK;
 use oracle::reference;
 use pa_isa::Reg;
@@ -185,27 +186,46 @@ fn umax_multiply_overflow_on_every_path() {
     assert_eq!(m.reg(Reg::R28), expect as u32);
     assert_eq!(op.run_batch_i32(&[x]).unwrap().values, vec![expect]);
 
-    // The checked form: an operand whose exact product leaves i32.
-    let big = i32::MAX / 2; // 3 * (i32::MAX / 2) > i32::MAX
-    assert_eq!(reference::mul_checked_chain(big, 3), None);
-    let checked = c.mul_const_checked(3).unwrap();
-    assert_eq!(
-        checked.run_i32(big).unwrap_err(),
-        Error::Trapped(TrapKind::Overflow)
-    );
-    let mut m = Machine::with_regs(&[(Reg::R26, big as u32)]);
-    let r = execute_prepared(checked.prepared(), &mut m);
-    match r.termination {
-        Termination::Trapped(t) => assert_eq!(t.kind, TrapKind::Overflow),
-        other => panic!("checked 3*{big} terminated {other:?}, expected overflow"),
-    }
-    assert_eq!(
-        checked.run_batch_i32(&[big]).unwrap_err(),
-        Error::Trapped(TrapKind::Overflow)
-    );
+    // The checked form: operands whose exact product leaves i32 — including
+    // ×(−1) of i32::MIN, where the negation itself must trap.
+    for (n, big) in [(3, i32::MAX / 2), (-1, i32::MIN)] {
+        assert_eq!(reference::mul_checked_chain(big, n), None);
+        let checked = c.mul_const_checked(i64::from(n)).unwrap();
+        assert_eq!(
+            checked.run_i32(big).unwrap_err(),
+            Error::Trapped(TrapKind::Overflow)
+        );
+        let mut m = Machine::with_regs(&[(Reg::R26, big as u32)]);
+        let r = execute_prepared(checked.prepared(), &mut m);
+        match r.termination {
+            Termination::Trapped(t) => assert_eq!(t.kind, TrapKind::Overflow),
+            other => panic!("checked {n}*{big} terminated {other:?}, expected overflow"),
+        }
+        assert_eq!(
+            checked.run_batch_i32(&[big]).unwrap_err(),
+            Error::Trapped(TrapKind::Overflow)
+        );
 
-    // In-range operands still flow through the checked chain untrapped.
-    assert_eq!(checked.run_i32(1000).unwrap(), 3000);
+        // In-range operands still flow through the checked chain untrapped.
+        assert_eq!(
+            checked.run_i32(1000).ok(),
+            reference::mul_checked_chain(1000, n)
+        );
+    }
+
+    // Checked ×0 cannot overflow: one instruction, zero on every path.
+    let zero = c.mul_const_checked(0).unwrap();
+    assert_eq!(zero.len(), 1);
+    let xs = [i32::MIN, -1, 0, 1, i32::MAX];
+    for x in xs {
+        assert_eq!(zero.run_i32(x).ok(), reference::mul_checked_chain(x, 0));
+        let mut m = Machine::with_regs(&[(Reg::R26, x as u32)]);
+        assert!(execute_prepared(zero.prepared(), &mut m)
+            .termination
+            .is_completed());
+        assert_eq!(m.reg(Reg::R28), 0);
+    }
+    assert_eq!(zero.run_batch_i32(&xs).unwrap().values, vec![0; xs.len()]);
 
     // The millicode switched multiply wraps like the oracle at the top too.
     let rt = Runtime::new().unwrap();
@@ -297,6 +317,24 @@ fn injected_trap_at_the_subo_never_leaks_an_unchecked_product() {
                 Err(other) => panic!("step {step}, x {x}: untyped escape {other}"),
             }
         }
+    }
+}
+
+/// A divide compile searches each candidate exponent's multiplier once:
+/// the plan hands its chain to the emitter, for an even divisor's odd part
+/// too. `/7` tries eight exponents, and `/14` is `/7` after a shift.
+#[test]
+fn each_divide_compile_searches_each_exponent_once() {
+    let cfg = DivCodegenConfig::default();
+    for y in [7u32, 14] {
+        let (program, events) =
+            telemetry::collect(|| compile_div_const(y, Signedness::Unsigned, &cfg));
+        assert!(program.is_ok(), "y = {y}");
+        let searches = events
+            .iter()
+            .filter(|e| matches!(e, telemetry::Event::ChainSearch { .. }))
+            .count();
+        assert_eq!(searches, 8, "y = {y}");
     }
 }
 
