@@ -64,7 +64,7 @@ pub fn print_stats(stats: &SimStats) {
     }
 }
 
-/// A two-operand routine pre-decoded once and replayed on one reused
+/// A two-operand routine prepared once and replayed on one reused
 /// machine — the hot path for table loops that run the same program over
 /// thousands of operand pairs.
 #[derive(Debug)]
@@ -107,7 +107,7 @@ impl PreparedBench {
 
 /// Best/average/worst cycles of `p` over multiplier values in
 /// `lo..=hi` (multiplicand fixed), sampling `samples` points. The program
-/// is pre-decoded once and replayed on one machine.
+/// is prepared once and replayed on one machine.
 #[must_use]
 pub fn cycle_band(p: &Program, lo: u32, hi: u32, multiplicand: u32, samples: u32) -> Band {
     let mut bench = PreparedBench::new(p);

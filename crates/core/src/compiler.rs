@@ -5,7 +5,9 @@ use std::sync::Arc;
 
 use divconst::{DivCodegenConfig, DivCodegenError, Signedness};
 use mulconst::{CodegenConfig, CodegenError};
-use pa_isa::{Im11, Insn, Op, Program, Reg};
+#[cfg(test)]
+use pa_isa::{Im11, Insn, Op};
+use pa_isa::{Program, Reg};
 use pa_lint::{Claim, LintLevel, LintSpec};
 use pa_sim::{
     ExecConfig, FaultPlan, Machine, OverflowModel, PreparedProgram, Termination, TrapKind,
@@ -105,8 +107,8 @@ impl From<DivCodegenError> for CompilerError {
     }
 }
 
-/// A compiled constant operation: the pre-decoded program, its registers,
-/// and execution helpers backed by the simulator's prepared fast path.
+/// A compiled constant operation: the prepared program, its registers,
+/// and execution helpers backed by the simulator.
 #[derive(Debug, Clone)]
 pub struct CompiledOp {
     kind: OpKind,
@@ -128,7 +130,7 @@ impl CompiledOp {
         self.prepared.program()
     }
 
-    /// The pre-decoded executable form.
+    /// The executable form: the program with its execution configuration.
     #[must_use]
     pub fn prepared(&self) -> &PreparedProgram {
         &self.prepared
@@ -277,6 +279,7 @@ pub struct CompilerBuilder {
     cache_shards: usize,
     fault_plan: Option<FaultPlan>,
     lint: LintLevel,
+    #[cfg(test)]
     miscompile: Miscompile,
 }
 
@@ -294,11 +297,10 @@ pub fn default_lint_level() -> LintLevel {
 
 /// Test-only deliberate miscompilation, injected between code generation and
 /// the lint gate. Used by the regression suite to prove the linter catches
-/// the classic constant-division and chain bugs; never set in production.
-#[doc(hidden)]
+/// the classic constant-division and chain bugs.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum Miscompile {
+enum Miscompile {
     /// No mutation (the production setting).
     #[default]
     None,
@@ -313,6 +315,7 @@ pub enum Miscompile {
 /// program. `MagicOffByOne` targets the division family (its first `ADDI`
 /// is the magic/rounding-constant setup); `DropShAdd` targets multiply
 /// chains. Programs without a matching instruction pass through unchanged.
+#[cfg(test)]
 fn apply_miscompile(miscompile: Miscompile, kind: OpKind, program: Program) -> Program {
     let mutated = match (miscompile, kind) {
         (Miscompile::MagicOffByOne, OpKind::MulConst { .. }) => None,
@@ -364,6 +367,7 @@ impl CompilerBuilder {
             cache_shards: ShardedCache::DEFAULT_SHARDS,
             fault_plan: None,
             lint: default_lint_level(),
+            #[cfg(test)]
             miscompile: Miscompile::None,
         }
     }
@@ -390,8 +394,8 @@ impl CompilerBuilder {
         self
     }
 
-    /// Collect simulator statistics when compiled programs run (delegates
-    /// execution to the instrumented interpreter).
+    /// Collect simulator statistics when compiled programs run (runs take
+    /// the simulator's instrumented loop).
     #[must_use]
     pub fn stats(mut self, stats: bool) -> CompilerBuilder {
         self.stats = stats;
@@ -441,10 +445,10 @@ impl CompilerBuilder {
         self
     }
 
-    /// Injects a deliberate miscompilation (test-only; see [`Miscompile`]).
-    #[doc(hidden)]
+    /// Injects a deliberate miscompilation (see [`Miscompile`]).
+    #[cfg(test)]
     #[must_use]
-    pub fn miscompile(mut self, miscompile: Miscompile) -> CompilerBuilder {
+    fn miscompile(mut self, miscompile: Miscompile) -> CompilerBuilder {
         self.miscompile = miscompile;
         self
     }
@@ -471,6 +475,7 @@ impl CompilerBuilder {
             trapping_mul: self.trapping_mul,
             cache,
             lint: self.lint,
+            #[cfg(test)]
             miscompile: self.miscompile,
         }
     }
@@ -507,6 +512,7 @@ pub struct Compiler {
     trapping_mul: bool,
     cache: Arc<ShardedCache>,
     lint: LintLevel,
+    #[cfg(test)]
     miscompile: Miscompile,
 }
 
@@ -662,6 +668,7 @@ impl Compiler {
                 (self.compose_rem(div, i64::from(y))?, self.div_cfg.source)
             }
         };
+        #[cfg(test)]
         let program = apply_miscompile(self.miscompile, kind, program);
         self.lint_gate(kind, &program)?;
         Ok(self.wrap(kind, program, source))
@@ -670,7 +677,7 @@ impl Compiler {
     /// Runs the freshly generated program through `pa-lint` at the
     /// configured level and turns any finding into a typed rejection. The
     /// gate sees the program exactly as it will be cached and executed (in
-    /// particular, *after* any test-only [`Miscompile`] mutation).
+    /// unit tests, *after* any injected miscompilation).
     fn lint_gate(&self, kind: OpKind, program: &Program) -> Result<()> {
         if self.lint == LintLevel::Off {
             return Ok(());

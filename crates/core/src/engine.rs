@@ -5,7 +5,7 @@
 //! worker thread. Each worker owns its own [`pa_sim::Machine`] (via a
 //! private [`Session`]) and shares the runtime's prepared routines and the
 //! compiler's sharded cache by `Arc`, so the expensive work — chain search,
-//! magic derivation, pre-decoding — is paid once process-wide no matter
+//! magic derivation, preparation — is paid once process-wide no matter
 //! how many threads run.
 //!
 //! # Determinism

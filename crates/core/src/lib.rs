@@ -8,7 +8,7 @@
 //! * [`Compiler`] — what the compiler back end does: turn `x * c`, `x / c`
 //!   and `x % c` into straight-line shift-and-add / derived-method code
 //!   (§5, §7), with optional overflow trapping. Compiled programs are
-//!   pre-decoded for the simulator's fast path and memoised in a bounded,
+//!   prepared for the simulator and memoised in a bounded,
 //!   strategy-keyed cache: compiling the same constant twice searches once;
 //! * [`Runtime`] — what the millicode library does: multiply and divide
 //!   values unknown until run time (§6's switched algorithm, §4's
@@ -101,7 +101,7 @@ pub mod strength;
 
 pub use cache::CacheShardStats;
 pub use compiler::{
-    default_lint_level, CompiledOp, Compiler, CompilerBuilder, CompilerError, Miscompile, OpKind,
+    default_lint_level, CompiledOp, Compiler, CompilerBuilder, CompilerError, OpKind,
 };
 pub use divconst::Signedness;
 pub use engine::ParallelExecutor;

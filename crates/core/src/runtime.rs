@@ -82,8 +82,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Collect simulator statistics on every call (delegates execution to
-    /// the instrumented interpreter).
+    /// Collect simulator statistics on every call (runs take the
+    /// simulator's instrumented loop).
     #[must_use]
     pub fn stats(mut self, stats: bool) -> RuntimeBuilder {
         self.stats = stats;
@@ -130,7 +130,7 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Builds all routines and pre-decodes them for the fast path.
+    /// Builds all routines and prepares them for repeated execution.
     ///
     /// # Errors
     ///
@@ -184,7 +184,7 @@ impl RuntimeBuilder {
 ///
 /// Construction builds the routines once ([`mulvar::switched`],
 /// [`divvar::udiv`], [`divvar::sdiv`], [`divvar::small_dispatch`]) and
-/// pre-decodes each into a [`PreparedProgram`]; calls are then cheap
+/// prepares each as a [`PreparedProgram`]; calls are then cheap
 /// simulator runs. For call-heavy workloads, open a [`Session`]
 /// ([`Runtime::session`]) to also reuse one machine across calls; for
 /// multi-core workloads, ask for a [`ParallelExecutor`]

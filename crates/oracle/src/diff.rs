@@ -3,9 +3,11 @@
 //! For each [`Case`] the verifier runs
 //!
 //! 1. the **interpreter** ([`pa_sim::run_fn`]) on the compiled program
-//!    or millicode routine,
-//! 2. the **prepared fast path** (`PreparedProgram::run`, the hot path
-//!    PR 2 promised is bit-identical),
+//!    or millicode routine, observed (stats, trace and profile on), so it
+//!    takes the run loop's instrumented instantiation and its records must
+//!    account for every slot,
+//! 2. the **prepared program** (`PreparedProgram::run`, bare: the
+//!    uninstrumented instantiation every production run takes),
 //! 3. a **batched session** — cases accumulate per family and flush
 //!    through the cached batch APIs with one reused machine, and
 //! 4. the **reference oracle** ([`crate::reference`] /
@@ -21,7 +23,7 @@ use std::collections::BTreeMap;
 use hppa_muldiv::{CompiledOp, Compiler, Error, Runtime, DISPATCH_LIMIT};
 use millicode::divvar::DIV_ZERO_BREAK;
 use pa_isa::{Program, Reg};
-use pa_sim::{run_fn, ExecConfig, Machine, Termination, TrapKind};
+use pa_sim::{run_fn, ExecConfig, Machine, RunResult, SimStats, Termination, TrapKind};
 
 use crate::budget::{BudgetViolation, Budgets};
 use crate::fuzz::{shrink, Case, CaseGen};
@@ -199,7 +201,10 @@ impl Verifier {
         Ok(Verifier {
             compiler: Compiler::builder().cache_capacity(4096).build(),
             runtime: Runtime::new()?,
-            exec: ExecConfig::default(),
+            exec: ExecConfig::default()
+                .with_stats()
+                .with_trace()
+                .with_profile(),
             budgets,
             inject,
             const_batches: BTreeMap::new(),
@@ -374,6 +379,25 @@ impl Verifier {
         }
     }
 
+    /// Records a divergence when the observed interpreter run's stats,
+    /// trace or profile miss a slot the run counted.
+    fn check_records(&mut self, case: &Case, r: &RunResult) {
+        if !accounts_for_every_slot(r) {
+            self.record(
+                case,
+                "interpreter-records",
+                format!(
+                    "{} cycles and {} executed, but stats count {:?}, the trace {} and the profile {}",
+                    r.cycles,
+                    r.executed,
+                    r.stats.as_deref().map(SimStats::executed_total),
+                    r.trace.len(),
+                    r.profile.iter().sum::<u64>()
+                ),
+            );
+        }
+    }
+
     fn record(&mut self, case: &Case, paths: &'static str, detail: String) {
         self.report.divergence_count += 1;
         telemetry::emit(|| telemetry::Event::Verify {
@@ -470,8 +494,9 @@ impl Verifier {
 
         // Path 1: the interpreter.
         let (m, r) = run_fn(op.program(), &[(Reg::R26, x)], &self.exec);
+        self.check_records(case, &r);
         let obs_interp = observe(&r.termination, m.reg(Reg::R28), None);
-        // Path 2: the prepared fast path.
+        // Path 2: the bare prepared run.
         let mut fast = Machine::with_regs(&[(Reg::R26, x)]);
         let rf = op.prepared().run(&mut fast);
         let obs_fast = observe(&rf.termination, fast.reg(Reg::R28), None);
@@ -650,6 +675,7 @@ impl Verifier {
             &[(Reg::R26, x), (Reg::R25, y)],
             &self.exec,
         );
+        self.check_records(case, &r);
         let rem = wants_rem.then(|| m.reg(Reg::R29));
         let obs_interp = observe(&r.termination, m.reg(Reg::R28), rem);
 
@@ -948,7 +974,7 @@ impl Verifier {
                 };
                 let (m, r) = run_fn(op.program(), &[(Reg::R26, x)], &self.exec);
                 let obs = observe(&r.termination, m.reg(Reg::R28), None);
-                !obs.matches(&expected)
+                !obs.matches(&expected) || !accounts_for_every_slot(&r)
             }
             _ => {
                 let (obs, _) = self.observe_runtime_call(case);
@@ -965,6 +991,16 @@ enum VarFamily {
     Udiv,
     Sdiv,
     Dispatch,
+}
+
+/// Whether an observed run's stats, trace and profile account for every
+/// slot it ran.
+fn accounts_for_every_slot(r: &RunResult) -> bool {
+    r.stats
+        .as_deref()
+        .is_some_and(|s| s.executed_total() == r.executed)
+        && r.trace.len() as u64 == r.cycles
+        && r.profile.iter().sum::<u64>() == r.executed
 }
 
 fn observe(termination: &Termination, value: u32, rem: Option<u32>) -> Observed {

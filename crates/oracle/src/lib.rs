@@ -20,7 +20,7 @@
 //! * [`budget`] — the paper's cycle envelopes (Tables 1–3 and the
 //!   per-section counts) as a checked-in TOML table, asserted per case.
 //! * [`diff`] — the [`Verifier`] that runs each case through the
-//!   interpreter, the prepared fast path, and a batched session, compares
+//!   observed interpreter, the bare prepared run, and a batched session, compares
 //!   all three against the oracle, checks cycle budgets, and shrinks the
 //!   first divergence.
 //!

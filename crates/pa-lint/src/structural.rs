@@ -1,4 +1,5 @@
-//! The dataflow lint rules `PL001`–`PL006`.
+//! The dataflow lint rules `PL001`–`PL006`, plus the structural half of
+//! `PL007`: a checked multiply that can overflow must be able to trap.
 //!
 //! All register sets are 32-bit masks (bit *n* = `rN`). The must-analyses
 //! (`PL001` uninit-read, `PL004` carry domination) run a forward worklist to
@@ -30,6 +31,9 @@ pub(crate) fn check(program: &Program, spec: &LintSpec, findings: &mut Vec<Findi
     nullify_shadows(program, spec.level, &reachable, findings);
     if spec.claim.trap_free() {
         traps_on_trap_free(program, &reachable, findings);
+    }
+    if let Claim::MulConst { n, checked: true } = spec.claim {
+        missing_overflow_trap(program, n, &reachable, findings);
     }
 }
 
@@ -224,6 +228,29 @@ fn nullify_shadows(
                 ));
             }
         }
+    }
+}
+
+/// `PL007`: a checked multiply by `n ∉ {0, 1}` with no reachable trapping
+/// instruction. For every such `n` some `i32` input overflows (`i32::MIN`
+/// for `n = -1`, `i32::MAX` otherwise), so a routine that cannot trap
+/// returns a wrapped product where the claim demands a trap — which the
+/// abstract interpreter, proving `dest ≡ n · x (mod 2^32)`, cannot see.
+fn missing_overflow_trap(
+    program: &Program,
+    n: i64,
+    reachable: &[bool],
+    findings: &mut Vec<Finding>,
+) {
+    let can_trap = program
+        .iter()
+        .zip(reachable)
+        .any(|(insn, &live)| live && insn.op.can_trap());
+    if !matches!(n, 0 | 1) && !can_trap {
+        findings.push(Finding::global(
+            FindingCode::Unverified,
+            format!("checked `x * {n}` can overflow but no reachable instruction can trap"),
+        ));
     }
 }
 

@@ -75,6 +75,36 @@ fn checked_mul_claimed_unchecked_is_flagged_pl006() {
     assert!(has(&report, FindingCode::TrapOnTrapFree), "{report}");
 }
 
+#[test]
+fn checked_mul_that_cannot_trap_is_rejected() {
+    // Checked x * -1 as it was once emitted: a plain negate, which returns
+    // i32::MIN for i32::MIN where the checked claim demands a trap. The
+    // wrapped product is right mod 2^32, so only the missing trap shows.
+    let mut b = ProgramBuilder::new();
+    b.sub(Reg::R0, Reg::R26, Reg::R28);
+    let p = b.build().unwrap();
+    let report = lint_program(&p, &LintSpec::mul_const(-1, true, Reg::R26, Reg::R28));
+    assert!(has(&report, FindingCode::Unverified), "{report}");
+    assert!(!report.is_clean());
+
+    // The trapping negate proves clean, and so do the two constants whose
+    // checked product can never overflow, without a trap.
+    let mut b = ProgramBuilder::new();
+    b.subo(Reg::R0, Reg::R26, Reg::R28);
+    let subo = b.build().unwrap();
+    assert_proved(
+        &subo,
+        &LintSpec::mul_const(-1, true, Reg::R26, Reg::R28),
+        "x * -1",
+    );
+    let cfg = CodegenConfig::with_overflow_checking();
+    for n in [0i64, 1] {
+        let p = compile_mul_const(n, &cfg).unwrap();
+        let spec = LintSpec::mul_const(n, true, cfg.source, cfg.dest);
+        assert_proved(&p, &spec, &format!("checked mul by {n}"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // §7 constant division, all strategy shapes
 // ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 //! The interpreter: instruction semantics, cycle accounting, traps.
+//!
+//! `step` is the only definition of each opcode, and `run_loop` the only
+//! run loop. Every execution — [`run`],
+//! [`PreparedProgram::run`](crate::PreparedProgram::run), observed runs and
+//! fault drills — goes through that loop, which is compiled twice: bare,
+//! for production runs, and instrumented, for stats, trace, profile and
+//! armed fault plans.
 
 use core::fmt;
 
-use pa_isa::{BitSense, Op, Program, Reg};
+use pa_isa::{BitSense, Insn, Op, Program, Reg};
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, Intervention};
 use crate::overflow::{cheap_circuit_overflow, precise_overflow, OverflowModel};
 use crate::stats::{SimStats, StatsRecorder};
 use crate::Machine;
@@ -23,13 +30,13 @@ pub struct ExecConfig {
     /// are capped at `max_cycles`, so bound it for long runs.
     pub trace: bool,
     /// Collect per-opcode histograms and per-label cycle attribution
-    /// (`RunResult::stats`). Off by default: the zero-instrumentation path
-    /// costs one never-taken branch per slot and cycle counts are identical
-    /// either way.
+    /// (`RunResult::stats`). Off by default: runs without stats, trace or
+    /// profile take the bare loop, which has no per-slot instrumentation
+    /// code, and cycle counts are identical either way.
     pub stats: bool,
     /// Armed fault plan for chaos drills (see [`crate::fault`]). `None` —
-    /// the default — is the production setting: the prepared fast path
-    /// checks it once per run, not per instruction, and injects nothing.
+    /// the default — is the production setting: a run checks it once, not
+    /// per instruction, and injects nothing.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -82,6 +89,11 @@ impl ExecConfig {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> ExecConfig {
         self.fault_plan = Some(plan);
         self
+    }
+
+    /// Whether a run records anything per slot (stats, trace or profile).
+    pub(crate) fn observes_slots(&self) -> bool {
+        self.stats || self.trace || self.profile
     }
 }
 
@@ -285,63 +297,154 @@ pub struct RunResult {
 /// # Ok::<(), pa_isa::IsaError>(())
 /// ```
 pub fn run(program: &Program, machine: &mut Machine, config: &ExecConfig) -> RunResult {
-    // Inert (one thread-local check) unless a span::trace scope is active;
-    // the prepared fast path (`PreparedProgram::run_fast`) stays unspanned.
+    spanned(|| execute(program, machine, config))
+}
+
+/// Runs `body` inside an `execute` span carrying its simulated cycles. The
+/// span is inert (one thread-local check) unless a `span::trace` scope is
+/// active.
+pub(crate) fn spanned(body: impl FnOnce() -> RunResult) -> RunResult {
     let mut span = telemetry::span::enter("execute");
-    let len = program.len();
-    let mut result = RunResult {
-        cycles: 0,
-        executed: 0,
-        nullified: 0,
-        taken_branches: 0,
-        termination: Termination::Completed,
-        profile: if config.profile {
-            vec![0; len]
-        } else {
-            Vec::new()
-        },
-        trace: Vec::new(),
-        stats: None,
+    let result = body();
+    span.add_cycles(result.cycles);
+    result
+}
+
+/// The one computation behind [`run`] and
+/// [`PreparedProgram::run`](crate::PreparedProgram::run): an armed
+/// execution-affecting fault plan goes to [`crate::fault`], an observed run
+/// (stats, trace or profile) to the instrumented loop, and everything else
+/// to the bare loop.
+pub(crate) fn execute(program: &Program, machine: &mut Machine, config: &ExecConfig) -> RunResult {
+    if let Some(plan) = config.fault_plan.as_ref().filter(|p| p.affects_execution()) {
+        return crate::fault::run_with_plan(program, machine, config, plan);
+    }
+    if config.observes_slots() {
+        return run_probed(program, program.insns(), machine, config, None);
+    }
+    run_loop(program.insns(), machine, config, &mut ())
+}
+
+/// Runs `code` through the instrumented loop: the probes `config` asks for
+/// (stats regions are labelled from `program`, whose length `code` shares)
+/// plus an optional armed fault intervention. Kept out of line so the bare
+/// loop's caller stays small.
+#[inline(never)]
+pub(crate) fn run_probed(
+    program: &Program,
+    code: &[Insn],
+    machine: &mut Machine,
+    config: &ExecConfig,
+    intervention: Option<&mut Intervention<'_>>,
+) -> RunResult {
+    let mut probes = Probes {
+        trace: config.trace.then(Vec::new),
+        profile: config.profile.then(|| vec![0; code.len()]),
+        stats: config.stats.then(|| StatsRecorder::new(program)),
+        intervention,
     };
-    let mut recorder = if config.stats {
-        Some(StatsRecorder::new(program))
-    } else {
+    let mut result = run_loop(code, machine, config, &mut probes);
+    result.trace = probes.trace.unwrap_or_default();
+    result.profile = probes.profile.unwrap_or_default();
+    result.stats = probes.stats.map(|mut rec| {
+        match result.termination {
+            Termination::Trapped(_) => rec.record_trap(),
+            Termination::Faulted(_) => rec.record_fault(),
+            Termination::Completed | Termination::CycleLimit => {}
+        }
+        rec.finish()
+    });
+    result
+}
+
+/// What the run loop reports about each slot. It has two implementations,
+/// so the loop has two instantiations: `()`, whose hooks are all empty, is
+/// the bare loop every production run takes, with no per-slot
+/// instrumentation code; [`Probes`] carries everything else.
+trait Probe {
+    /// Offered the machine before every fetch (and once more at the exit);
+    /// a returned termination ends the run there.
+    fn before_fetch(&mut self, _m: &mut Machine, _pc: usize, _cycles: u64) -> Option<Termination> {
         None
-    };
-    let mut pc = 0usize;
+    }
+
+    /// One fetched slot, executed or nullified.
+    fn slot(&mut self, _op: &Op, _pc: usize, _nullified: bool) {}
+
+    /// The branch at `pc` was taken.
+    fn taken(&mut self, _pc: usize) {}
+}
+
+impl Probe for () {}
+
+/// The instrumented instantiation's state.
+struct Probes<'a, 'p> {
+    trace: Option<Vec<TraceEntry>>,
+    profile: Option<Vec<u64>>,
+    stats: Option<StatsRecorder>,
+    intervention: Option<&'a mut Intervention<'p>>,
+}
+
+impl Probe for Probes<'_, '_> {
+    #[inline]
+    fn before_fetch(&mut self, m: &mut Machine, pc: usize, cycles: u64) -> Option<Termination> {
+        self.intervention.as_mut()?.before_fetch(m, pc, cycles)
+    }
+
+    #[inline]
+    fn slot(&mut self, op: &Op, pc: usize, nullified: bool) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEntry { pc, nullified });
+        }
+        if !nullified {
+            if let Some(profile) = &mut self.profile {
+                profile[pc] += 1;
+            }
+        }
+        if let Some(rec) = &mut self.stats {
+            rec.record(op.opcode_index(), pc, nullified);
+        }
+    }
+
+    #[inline]
+    fn taken(&mut self, pc: usize) {
+        if let Some(rec) = &mut self.stats {
+            rec.record_branch(pc);
+        }
+    }
+}
+
+/// The run loop: fetches from `code` at instruction 0 until control falls
+/// off the end, a trap or fault ends the run, the watchdog fires, or the
+/// probe ends it. Every slot, nullified or not, costs one cycle.
+fn run_loop<P: Probe>(
+    code: &[Insn],
+    machine: &mut Machine,
+    config: &ExecConfig,
+    probe: &mut P,
+) -> RunResult {
+    let len = code.len();
+    let (mut pc, mut cycles, mut nullified, mut taken_branches) = (0usize, 0u64, 0u64, 0u64);
     let mut nullify_next = false;
 
-    'fetch: while pc < len {
-        if result.cycles >= config.max_cycles {
-            result.termination = Termination::CycleLimit;
-            break 'fetch;
+    let termination = loop {
+        let fetch = code.get(pc);
+        if fetch.is_some() && cycles >= config.max_cycles {
+            break Termination::CycleLimit;
         }
-        result.cycles += 1;
-
-        if config.trace {
-            result.trace.push(TraceEntry {
-                pc,
-                nullified: nullify_next,
-            });
+        if let Some(t) = probe.before_fetch(machine, pc, cycles) {
+            break t;
         }
+        let Some(insn) = fetch else {
+            break Termination::Completed;
+        };
+        cycles += 1;
+        probe.slot(&insn.op, pc, nullify_next);
         if nullify_next {
             nullify_next = false;
-            result.nullified += 1;
-            if let Some(rec) = &mut recorder {
-                let insn = program.get(pc).expect("pc < len");
-                rec.record(insn.op.opcode_index(), pc, true);
-            }
+            nullified += 1;
             pc += 1;
             continue;
-        }
-
-        let insn = program.get(pc).expect("pc < len");
-        result.executed += 1;
-        if config.profile {
-            result.profile[pc] += 1;
-        }
-        if let Some(rec) = &mut recorder {
-            rec.record(insn.op.opcode_index(), pc, false);
         }
 
         match step(&insn.op, machine, len, config.overflow) {
@@ -351,32 +454,25 @@ pub fn run(program: &Program, machine: &mut Machine, config: &ExecConfig) -> Run
                 pc += 1;
             }
             StepOutcome::Branch(target) => {
-                result.taken_branches += 1;
-                if let Some(rec) = &mut recorder {
-                    // `pc` still indexes the branch instruction here.
-                    rec.record_branch(pc);
-                }
+                taken_branches += 1;
+                probe.taken(pc);
                 pc = target;
             }
-            StepOutcome::Trap(kind) => {
-                if let Some(rec) = &mut recorder {
-                    rec.record_trap();
-                }
-                result.termination = Termination::Trapped(Trap { kind, at: pc });
-                break 'fetch;
-            }
-            StepOutcome::Fault(target) => {
-                if let Some(rec) = &mut recorder {
-                    rec.record_fault();
-                }
-                result.termination = Termination::Faulted(Fault { at: pc, target });
-                break 'fetch;
-            }
+            StepOutcome::Trap(kind) => break Termination::Trapped(Trap { kind, at: pc }),
+            StepOutcome::Fault(target) => break Termination::Faulted(Fault { at: pc, target }),
         }
+    };
+    RunResult {
+        cycles,
+        // Every fetched slot either executed or was nullified.
+        executed: cycles - nullified,
+        nullified,
+        taken_branches,
+        termination,
+        profile: Vec::new(),
+        trace: Vec::new(),
+        stats: None,
     }
-    result.stats = recorder.map(|rec| Box::new(rec.finish()));
-    span.add_cycles(result.cycles);
-    result
 }
 
 /// Convenience wrapper: preload registers, run, and return the machine
@@ -420,6 +516,9 @@ fn add_with_carry(x: u32, y: u32, cin: bool) -> (u32, bool) {
     (wide as u32, wide >> 32 != 0)
 }
 
+// Inlined into both instantiations of the run loop, so each dispatches
+// straight on the opcode with no call per slot.
+#[inline(always)]
 fn step(op: &Op, m: &mut Machine, len: usize, ovf: OverflowModel) -> StepOutcome {
     use StepOutcome::{Branch, Fault, Next, NullifyNext, Trap};
 
@@ -1144,241 +1243,5 @@ mod tests {
             rem_v
         };
         assert_eq!(fixed, 1, "remainder");
-    }
-}
-
-/// What one [`Stepper::step`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepStatus {
-    /// The instruction at `pc` executed; control moved to `next_pc`.
-    Executed {
-        /// The instruction that ran.
-        pc: usize,
-        /// Where control went.
-        next_pc: usize,
-    },
-    /// The slot at `pc` was nullified by the preceding compare-and-clear.
-    Nullified {
-        /// The skipped slot.
-        pc: usize,
-    },
-    /// Execution has ended (fall-through exit, trap or fault).
-    Done(Termination),
-}
-
-/// A resumable, instruction-at-a-time executor — the debugger-style
-/// counterpart of [`run`], with identical semantics and cycle accounting.
-///
-/// # Example
-///
-/// ```
-/// use pa_isa::{ProgramBuilder, Reg};
-/// use pa_sim::{Machine, OverflowModel, StepStatus, Stepper};
-///
-/// let mut b = ProgramBuilder::new();
-/// b.sh2add(Reg::R26, Reg::R26, Reg::R28);
-/// b.add(Reg::R28, Reg::R28, Reg::R28);
-/// let p = b.build()?;
-///
-/// let mut s = Stepper::new(&p, Machine::with_regs(&[(Reg::R26, 7)]));
-/// assert!(matches!(s.step(), StepStatus::Executed { pc: 0, next_pc: 1 }));
-/// assert_eq!(s.machine().reg(Reg::R28), 35); // after the first instruction
-/// s.step();
-/// assert!(matches!(s.step(), StepStatus::Done(_)));
-/// assert_eq!(s.machine().reg(Reg::R28), 70);
-/// assert_eq!(s.cycles(), 2);
-/// # Ok::<(), pa_isa::IsaError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Stepper<'p> {
-    program: &'p Program,
-    machine: Machine,
-    overflow: OverflowModel,
-    pc: usize,
-    nullify_next: bool,
-    cycles: u64,
-    finished: Option<Termination>,
-}
-
-impl<'p> Stepper<'p> {
-    /// Starts at instruction 0 with the given machine state and the default
-    /// (cheap-circuit) overflow model.
-    #[must_use]
-    pub fn new(program: &'p Program, machine: Machine) -> Stepper<'p> {
-        Stepper::with_overflow(program, machine, OverflowModel::default())
-    }
-
-    /// Starts with an explicit overflow model.
-    #[must_use]
-    pub fn with_overflow(
-        program: &'p Program,
-        machine: Machine,
-        overflow: OverflowModel,
-    ) -> Stepper<'p> {
-        Stepper {
-            program,
-            machine,
-            overflow,
-            pc: 0,
-            nullify_next: false,
-            cycles: 0,
-            finished: None,
-        }
-    }
-
-    /// The next instruction index to execute.
-    #[must_use]
-    pub fn pc(&self) -> usize {
-        self.pc
-    }
-
-    /// Cycles consumed so far.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// The machine state.
-    #[must_use]
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// Mutable machine state (poke registers mid-run, debugger style).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    /// How execution ended, once it has.
-    #[must_use]
-    pub fn termination(&self) -> Option<Termination> {
-        self.finished
-    }
-
-    /// Executes one slot.
-    pub fn step(&mut self) -> StepStatus {
-        if let Some(t) = self.finished {
-            return StepStatus::Done(t);
-        }
-        if self.pc >= self.program.len() {
-            self.finished = Some(Termination::Completed);
-            return StepStatus::Done(Termination::Completed);
-        }
-        self.cycles += 1;
-        let pc = self.pc;
-        if self.nullify_next {
-            self.nullify_next = false;
-            self.pc += 1;
-            return StepStatus::Nullified { pc };
-        }
-        let insn = self.program.get(pc).expect("pc < len");
-        match step(
-            &insn.op,
-            &mut self.machine,
-            self.program.len(),
-            self.overflow,
-        ) {
-            StepOutcome::Next => self.pc += 1,
-            StepOutcome::NullifyNext => {
-                self.nullify_next = true;
-                self.pc += 1;
-            }
-            StepOutcome::Branch(target) => self.pc = target,
-            StepOutcome::Trap(kind) => {
-                let t = Termination::Trapped(Trap { kind, at: pc });
-                self.finished = Some(t);
-                return StepStatus::Done(t);
-            }
-            StepOutcome::Fault(target) => {
-                let t = Termination::Faulted(Fault { at: pc, target });
-                self.finished = Some(t);
-                return StepStatus::Done(t);
-            }
-        }
-        StepStatus::Executed {
-            pc,
-            next_pc: self.pc,
-        }
-    }
-
-    /// Runs until completion (or `max_cycles`), returning the termination.
-    pub fn run_to_end(&mut self, max_cycles: u64) -> Termination {
-        while self.finished.is_none() && self.cycles < max_cycles {
-            self.step();
-        }
-        self.finished.unwrap_or(Termination::CycleLimit)
-    }
-}
-
-#[cfg(test)]
-mod stepper_tests {
-    use super::*;
-    use pa_isa::{Cond, ProgramBuilder};
-
-    #[test]
-    fn stepper_matches_run() {
-        // A branchy program: both executors must agree on state and cycles.
-        let mut b = ProgramBuilder::new();
-        b.ldi(5, Reg::R1);
-        b.copy(Reg::R0, Reg::R2);
-        let top = b.here("top");
-        b.add(Reg::R1, Reg::R2, Reg::R2);
-        b.comclr(Cond::Odd, Reg::R1, Reg::R0, Reg::R0);
-        b.addi(10, Reg::R2, Reg::R2);
-        b.addib(-1, Reg::R1, Cond::Ne, top);
-        let p = b.build().unwrap();
-
-        let mut m1 = Machine::new();
-        let batch = run(&p, &mut m1, &ExecConfig::default());
-
-        let mut s = Stepper::new(&p, Machine::new());
-        let t = s.run_to_end(1_000_000);
-        assert_eq!(t, batch.termination);
-        assert_eq!(s.cycles(), batch.cycles);
-        assert_eq!(s.machine(), &m1);
-    }
-
-    #[test]
-    fn stepper_reports_nullification() {
-        let mut b = ProgramBuilder::new();
-        b.comclr(Cond::Eq, Reg::R0, Reg::R0, Reg::R0);
-        b.ldi(9, Reg::R1);
-        let p = b.build().unwrap();
-        let mut s = Stepper::new(&p, Machine::new());
-        assert!(matches!(s.step(), StepStatus::Executed { pc: 0, .. }));
-        assert!(matches!(s.step(), StepStatus::Nullified { pc: 1 }));
-        assert!(matches!(s.step(), StepStatus::Done(Termination::Completed)));
-        assert_eq!(s.machine().reg(Reg::R1), 0);
-    }
-
-    #[test]
-    fn stepper_surfaces_traps_and_stays_done() {
-        let mut b = ProgramBuilder::new();
-        b.brk(3);
-        let p = b.build().unwrap();
-        let mut s = Stepper::new(&p, Machine::new());
-        let first = s.step();
-        assert!(matches!(
-            first,
-            StepStatus::Done(Termination::Trapped(Trap {
-                kind: TrapKind::Break(3),
-                at: 0
-            }))
-        ));
-        // Idempotent after completion.
-        assert_eq!(s.step(), first);
-        assert_eq!(s.cycles(), 1);
-    }
-
-    #[test]
-    fn stepper_allows_poking_registers() {
-        let mut b = ProgramBuilder::new();
-        b.add(Reg::R1, Reg::R2, Reg::R3);
-        let p = b.build().unwrap();
-        let mut s = Stepper::new(&p, Machine::new());
-        s.machine_mut().set_reg(Reg::R1, 40);
-        s.machine_mut().set_reg(Reg::R2, 2);
-        s.step();
-        assert_eq!(s.machine().reg(Reg::R3), 42);
     }
 }

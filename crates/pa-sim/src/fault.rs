@@ -9,8 +9,9 @@
 //!   decode slot, which cycle) and is armed through
 //!   [`ExecConfig::fault_plan`](crate::ExecConfig::fault_plan);
 //! * execution-level faults (register flips, decode-slot corruption, forced
-//!   traps) are applied by a [`Stepper`]-based executor with the same cycle
-//!   accounting as the interpreter;
+//!   traps) are applied inside the one run loop, in its instrumented
+//!   instantiation, so an armed run's cycle accounting, stats, trace and
+//!   profile are the interpreter's by construction;
 //! * every injection emits a [`telemetry::Event::FaultInjected`] so drills
 //!   are observable;
 //! * cache- and engine-level faults ([`FaultPlan::ShardPoison`],
@@ -36,10 +37,9 @@
 
 use core::fmt;
 
-use pa_isa::Reg;
+use pa_isa::{BitSense, Im11, Im14, Im21, Im5, Op, Program, Reg, ShAmount, ShiftPos};
 
-use crate::exec::{run, ExecConfig, RunResult, StepStatus, Stepper, Termination, Trap, TrapKind};
-use crate::prepared::PreparedProgram;
+use crate::exec::{run, run_probed, ExecConfig, RunResult, Termination, Trap, TrapKind};
 use crate::Machine;
 
 /// `BREAK` code used by forced-trap drills when the caller does not pick
@@ -69,7 +69,7 @@ pub enum FaultPlan {
         /// Bit position, masked to 0–31.
         bit: u8,
     },
-    /// Corrupt one pre-decoded slot of the `PreparedProgram` before the run
+    /// Corrupt one instruction of a copy of the program before the run
     /// starts. The concrete mutation (register-field bit, immediate bit,
     /// branch-target bit, dropped op) is chosen deterministically from
     /// `seed`. A slot index past the end of the program injects nothing.
@@ -104,8 +104,7 @@ pub enum FaultPlan {
 
 impl FaultPlan {
     /// Whether the plan perturbs simulator execution (as opposed to the
-    /// cache or the engine). Only these plans divert `PreparedProgram::run`
-    /// onto the fault-injecting executor.
+    /// cache or the engine). Only these plans are acted on by a run.
     #[must_use]
     pub fn affects_execution(&self) -> bool {
         matches!(
@@ -172,103 +171,45 @@ pub(crate) fn mix(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `prepared` with an execution-affecting plan armed. Callers reach
-/// this through [`PreparedProgram::run`]; plans that do not affect
-/// execution never arrive here.
+/// Runs `program` with an execution-affecting plan armed. Callers reach
+/// this through [`run`] and [`PreparedProgram::run`](crate::PreparedProgram::run);
+/// plans that do not affect execution never arrive here.
+///
+/// Every armed run goes through the instrumented run loop, so its cycle
+/// accounting, stats, trace and profile are the plain run's. A run whose
+/// injection landed and that still completed is cross-checked against the
+/// pristine program. Kept out of line so the bare loop's caller stays small.
+#[inline(never)]
 pub(crate) fn run_with_plan(
-    prepared: &PreparedProgram,
+    program: &Program,
     machine: &mut Machine,
+    config: &ExecConfig,
     plan: &FaultPlan,
 ) -> RunResult {
-    match *plan {
-        FaultPlan::DecodeCorrupt { slot, seed } => {
-            run_decode_corrupt(prepared, machine, slot, seed)
-        }
-        FaultPlan::RegisterFlip { .. } | FaultPlan::ForceTrap { .. } => {
-            run_stepped(prepared, machine, plan)
-        }
-        // Cache/engine plans do not perturb execution; `PreparedProgram::run`
-        // filters them out via `affects_execution`.
-        _ => prepared.run_fast(machine),
-    }
-}
-
-/// Register-flip and forced-trap runs: a [`Stepper`] with the interpreter's
-/// cycle accounting, a single mid-run intervention, and a redundant pristine
-/// run when the intervention silently changed state.
-fn run_stepped(prepared: &PreparedProgram, machine: &mut Machine, plan: &FaultPlan) -> RunResult {
-    let program = prepared.program();
-    let config = prepared.config();
     let entry = machine.clone();
-    let mut s = Stepper::with_overflow(program, entry.clone(), config.overflow);
-    let mut executed = 0u64;
-    let mut nullified = 0u64;
-    let mut taken_branches = 0u64;
-    let mut applied = false;
-
-    let termination = loop {
-        if let Some(t) = s.termination() {
-            break t;
-        }
-        if s.cycles() >= config.max_cycles {
-            break Termination::CycleLimit;
-        }
-        match *plan {
-            FaultPlan::ForceTrap { step, code } if !applied && s.cycles() >= step => {
-                applied = true;
-                let at = s.pc();
-                let cycles = s.cycles();
-                telemetry::emit(|| telemetry::Event::FaultInjected {
-                    kind: "forced-trap",
-                    target: format!("BREAK {code:#x} at pc {at}"),
-                    at: cycles,
-                });
-                break Termination::Trapped(Trap {
-                    kind: TrapKind::Break(code),
-                    at,
-                });
-            }
-            FaultPlan::RegisterFlip { cycle, reg, bit } if !applied && s.cycles() >= cycle => {
-                applied = true;
-                let mask = 1u32 << (u32::from(bit) & 31);
-                let m = s.machine_mut();
-                m.set_reg(reg, m.reg(reg) ^ mask);
-                let cycles = s.cycles();
-                telemetry::emit(|| telemetry::Event::FaultInjected {
-                    kind: "register-flip",
-                    target: format!("{reg} bit {}", u32::from(bit) & 31),
-                    at: cycles,
-                });
-            }
-            _ => {}
-        }
-        match s.step() {
-            StepStatus::Executed { pc, next_pc } => {
-                executed += 1;
-                // Taken-branch accounting: a non-sequential transfer. (A
-                // branch whose target is the fall-through slot is counted
-                // as straight-line; millicode never emits one.)
-                if next_pc != pc + 1 {
-                    taken_branches += 1;
-                }
-            }
-            StepStatus::Nullified { .. } => nullified += 1,
-            StepStatus::Done(_) => {}
-        }
+    let (mut result, injected) = if let FaultPlan::DecodeCorrupt { slot, seed } = *plan {
+        let mut code = program.insns().to_vec();
+        let Some(insn) = code.get_mut(slot) else {
+            // Slot out of range: nothing to inject, run untouched.
+            return run_probed(program, program.insns(), machine, config, None);
+        };
+        let (op, what) = corrupt_op(insn.op, mix(seed), program.len());
+        insn.op = op;
+        telemetry::emit(|| telemetry::Event::FaultInjected {
+            kind: "decode-corrupt",
+            target: format!("slot {slot}: {what}"),
+            at: slot as u64,
+        });
+        (run_probed(program, &code, machine, config, None), true)
+    } else {
+        let mut armed = Intervention {
+            plan,
+            applied: false,
+        };
+        let result = run_probed(program, program.insns(), machine, config, Some(&mut armed));
+        (result, armed.applied)
     };
-
-    *machine = s.machine().clone();
-    let mut result = RunResult {
-        cycles: s.cycles(),
-        executed,
-        nullified,
-        taken_branches,
-        termination,
-        profile: Vec::new(),
-        trace: Vec::new(),
-        stats: None,
-    };
-    if applied && result.termination.is_completed() {
+    if injected && result.termination.is_completed() {
         check_against_pristine(
             program.len(),
             &entry,
@@ -281,38 +222,477 @@ fn run_stepped(prepared: &PreparedProgram, machine: &mut Machine, plan: &FaultPl
     result
 }
 
-/// Decode-corruption runs: mutate one slot, execute the corrupted buffer on
-/// the fast path, then cross-check a completed run against the pristine
-/// interpreter.
-fn run_decode_corrupt(
-    prepared: &PreparedProgram,
-    machine: &mut Machine,
-    slot: usize,
-    seed: u64,
-) -> RunResult {
-    let Some((corrupted, what)) = prepared.corrupt_slot(slot, mix(seed)) else {
-        // Slot out of range: nothing to inject, run untouched.
-        return prepared.run_fast(machine);
-    };
-    telemetry::emit(|| telemetry::Event::FaultInjected {
-        kind: "decode-corrupt",
-        target: format!("slot {slot}: {what}"),
-        at: slot as u64,
-    });
-    let entry = machine.clone();
-    let mut result = corrupted.run_fast(machine);
-    if result.termination.is_completed() {
-        let program = prepared.program();
-        check_against_pristine(
-            program.len(),
-            &entry,
-            machine,
-            prepared.config(),
-            &mut result,
-            |m, cfg| run(program, m, cfg),
-        );
+/// A register flip or forced trap waiting for its cycle. The instrumented
+/// run loop offers it the machine before every fetch, and once more when
+/// control reaches the exit; it fires once, the first time the run has
+/// consumed at least its cycle count.
+pub(crate) struct Intervention<'p> {
+    plan: &'p FaultPlan,
+    applied: bool,
+}
+
+impl Intervention<'_> {
+    /// Applies the plan if its cycle has come; a forced trap ends the run
+    /// at `pc`, before that slot is fetched.
+    pub(crate) fn before_fetch(
+        &mut self,
+        m: &mut Machine,
+        pc: usize,
+        cycles: u64,
+    ) -> Option<Termination> {
+        if self.applied {
+            return None;
+        }
+        match *self.plan {
+            FaultPlan::ForceTrap { step, code } if cycles >= step => {
+                self.applied = true;
+                telemetry::emit(|| telemetry::Event::FaultInjected {
+                    kind: "forced-trap",
+                    target: format!("BREAK {code:#x} at pc {pc}"),
+                    at: cycles,
+                });
+                Some(Termination::Trapped(Trap {
+                    kind: TrapKind::Break(code),
+                    at: pc,
+                }))
+            }
+            FaultPlan::RegisterFlip { cycle, reg, bit } if cycles >= cycle => {
+                self.applied = true;
+                let mask = 1u32 << (u32::from(bit) & 31);
+                m.set_reg(reg, m.reg(reg) ^ mask);
+                telemetry::emit(|| telemetry::Event::FaultInjected {
+                    kind: "register-flip",
+                    target: format!("{reg} bit {}", u32::from(bit) & 31),
+                    at: cycles,
+                });
+                None
+            }
+            _ => None,
+        }
     }
-    result
+}
+
+/// Deterministically mutates one instruction — the model of a bit upset in
+/// the decode path used by [`FaultPlan::DecodeCorrupt`]. The mutation menu
+/// mirrors what a real single-bit flip could hit: a register field, an
+/// immediate or shift-amount bit (kept inside the field's encoded width),
+/// a branch-target bit, a trap flag, or the opcode itself (dropping the
+/// slot to a NOP). `r` selects the mutation; `len` bounds rewritten branch
+/// targets so the corrupted code stays indexable.
+fn corrupt_op(op: Op, r: u64, len: usize) -> (Op, &'static str) {
+    let flip = |reg: Reg| Reg::new(reg.number() ^ 1).expect("xor 1 stays below 32");
+    // Flips bit `r >> 8` (mod `bits`) of a `bits`-wide two's-complement
+    // field and sign-extends the result back from that width.
+    let field_bit = |value: i32, bits: u32| {
+        let flipped = value ^ (1 << ((r >> 8) % u64::from(bits)));
+        (flipped << (32 - bits)) >> (32 - bits)
+    };
+    let im5 =
+        |i: Im5| Im5::new(field_bit(i.value(), Im5::BITS)).expect("sign-extended from 5 bits");
+    let im11 =
+        |i: Im11| Im11::new(field_bit(i.value(), Im11::BITS)).expect("sign-extended from 11 bits");
+    let sabit = 1u32 << ((r >> 8) % 5); // shift and position fields are 5 bits wide
+    let shift = |sa: ShiftPos| ShiftPos::new(sa.bits() ^ sabit).expect("5-bit field");
+    let retarget = |t: usize| (t ^ 1) % len.max(1);
+    if r.is_multiple_of(4) {
+        // The upset made the slot undecodable and the fetch path reads it
+        // as a dropped instruction.
+        return (Op::Nop, "slot dropped to NOP");
+    }
+    let alt = (r >> 2) & 1 == 0;
+    match op {
+        Op::Add { a, b, t, trap } => {
+            if alt {
+                (
+                    Op::Add {
+                        a: flip(a),
+                        b,
+                        t,
+                        trap,
+                    },
+                    "add: source-register bit",
+                )
+            } else {
+                (
+                    Op::Add {
+                        a,
+                        b,
+                        t,
+                        trap: !trap,
+                    },
+                    "add: trap flag",
+                )
+            }
+        }
+        Op::Addc { a, b, t } => {
+            if alt {
+                (Op::Addc { a: flip(a), b, t }, "addc: source-register bit")
+            } else {
+                (Op::Addc { a, b, t: flip(t) }, "addc: target-register bit")
+            }
+        }
+        Op::Sub { a, b, t, trap } => {
+            if alt {
+                (
+                    Op::Sub {
+                        a,
+                        b: flip(b),
+                        t,
+                        trap,
+                    },
+                    "sub: source-register bit",
+                )
+            } else {
+                (
+                    Op::Sub {
+                        a,
+                        b,
+                        t,
+                        trap: !trap,
+                    },
+                    "sub: trap flag",
+                )
+            }
+        }
+        Op::Subb { a, b, t } => {
+            if alt {
+                (Op::Subb { a: flip(a), b, t }, "subb: source-register bit")
+            } else {
+                (Op::Subb { a, b, t: flip(t) }, "subb: target-register bit")
+            }
+        }
+        Op::ShAdd { sh, a, b, t, trap } => {
+            if alt {
+                // The two-bit field holds 1..=3; a flip that would read 0
+                // lands on the field's other bit instead.
+                let bits = match sh.bits() ^ 1 {
+                    0 => sh.bits() ^ 2,
+                    other => other,
+                };
+                (
+                    Op::ShAdd {
+                        sh: ShAmount::new(bits).expect("flipped amount stays in 1..=3"),
+                        a,
+                        b,
+                        t,
+                        trap,
+                    },
+                    "shadd: shift-amount bit",
+                )
+            } else {
+                (
+                    Op::ShAdd {
+                        sh,
+                        a,
+                        b,
+                        t: flip(t),
+                        trap,
+                    },
+                    "shadd: target-register bit",
+                )
+            }
+        }
+        Op::Ds { a, b, t } => {
+            if alt {
+                (Op::Ds { a: flip(a), b, t }, "ds: source-register bit")
+            } else {
+                (Op::Ds { a, b, t: flip(t) }, "ds: target-register bit")
+            }
+        }
+        Op::Or { a, b, t } => (Op::Or { a: flip(a), b, t }, "or: source-register bit"),
+        Op::And { a, b, t } => (Op::And { a, b: flip(b), t }, "and: source-register bit"),
+        Op::Xor { a, b, t } => (Op::Xor { a: flip(a), b, t }, "xor: source-register bit"),
+        Op::AndCm { a, b, t } => (Op::AndCm { a, b: flip(b), t }, "andcm: source-register bit"),
+        Op::Comclr { cond, a, b, t } => {
+            if alt {
+                (
+                    Op::Comclr {
+                        cond,
+                        a: flip(a),
+                        b,
+                        t,
+                    },
+                    "comclr: source-register bit",
+                )
+            } else {
+                (
+                    Op::Comclr {
+                        cond,
+                        a,
+                        b: flip(b),
+                        t,
+                    },
+                    "comclr: source-register bit",
+                )
+            }
+        }
+        Op::Comiclr { cond, i, b, t } => {
+            if alt {
+                (
+                    Op::Comiclr {
+                        cond,
+                        i: im11(i),
+                        b,
+                        t,
+                    },
+                    "comiclr: immediate bit",
+                )
+            } else {
+                (
+                    Op::Comiclr {
+                        cond,
+                        i,
+                        b: flip(b),
+                        t,
+                    },
+                    "comiclr: source-register bit",
+                )
+            }
+        }
+        Op::Addi { i, b, t, trap } => {
+            if alt {
+                (
+                    Op::Addi {
+                        i: im11(i),
+                        b,
+                        t,
+                        trap,
+                    },
+                    "addi: immediate bit",
+                )
+            } else {
+                (
+                    Op::Addi {
+                        i,
+                        b,
+                        t,
+                        trap: !trap,
+                    },
+                    "addi: trap flag",
+                )
+            }
+        }
+        Op::Subi { i, b, t } => {
+            if alt {
+                (Op::Subi { i: im11(i), b, t }, "subi: immediate bit")
+            } else {
+                (Op::Subi { i, b, t: flip(t) }, "subi: target-register bit")
+            }
+        }
+        Op::Ldo { b, d, t } => {
+            if alt {
+                let d = Im14::new(field_bit(d.value(), Im14::BITS))
+                    .expect("sign-extended from 14 bits");
+                (Op::Ldo { b, d, t }, "ldo: displacement bit")
+            } else {
+                (Op::Ldo { b: flip(b), d, t }, "ldo: base-register bit")
+            }
+        }
+        Op::Ldil { i, t } => {
+            if alt {
+                let i = Im21::new(i.value() ^ (1 << ((r >> 8) % u64::from(Im21::BITS))))
+                    .expect("flip stays inside 21 bits");
+                (Op::Ldil { i, t }, "ldil: constant bit")
+            } else {
+                (Op::Ldil { i, t: flip(t) }, "ldil: target-register bit")
+            }
+        }
+        Op::Shl { s, sa, t } => (
+            Op::Shl {
+                s,
+                sa: shift(sa),
+                t,
+            },
+            "shl: shift-amount bit",
+        ),
+        Op::ShrU { s, sa, t } => (
+            Op::ShrU {
+                s,
+                sa: shift(sa),
+                t,
+            },
+            "shr: shift-amount bit",
+        ),
+        Op::ShrS { s, sa, t } => (
+            Op::ShrS {
+                s,
+                sa: shift(sa),
+                t,
+            },
+            "sar: shift-amount bit",
+        ),
+        Op::Shd { hi, lo, sa, t } => {
+            if alt {
+                (
+                    Op::Shd {
+                        hi,
+                        lo,
+                        sa: shift(sa),
+                        t,
+                    },
+                    "shd: shift-amount bit",
+                )
+            } else {
+                (
+                    Op::Shd {
+                        hi: flip(hi),
+                        lo,
+                        sa,
+                        t,
+                    },
+                    "shd: source-register bit",
+                )
+            }
+        }
+        Op::Extru { s, pos, len, t } => {
+            // `pos` (0..=31) and the length, encoded as `32 - len`, are
+            // both 5-bit fields, so a flipped field stays in range.
+            if alt {
+                (
+                    Op::Extru {
+                        s,
+                        pos: pos ^ sabit as u8,
+                        len,
+                        t,
+                    },
+                    "extru: position bit",
+                )
+            } else {
+                (
+                    Op::Extru {
+                        s,
+                        pos,
+                        len: 32 - ((32 - len) ^ sabit as u8),
+                        t,
+                    },
+                    "extru: length bit",
+                )
+            }
+        }
+        Op::B { target } => (
+            Op::B {
+                target: retarget(target),
+            },
+            "b: target bit",
+        ),
+        Op::Comb { cond, a, b, target } => {
+            if alt {
+                (
+                    Op::Comb {
+                        cond,
+                        a,
+                        b,
+                        target: retarget(target),
+                    },
+                    "comb: target bit",
+                )
+            } else {
+                (
+                    Op::Comb {
+                        cond,
+                        a: flip(a),
+                        b,
+                        target,
+                    },
+                    "comb: source-register bit",
+                )
+            }
+        }
+        Op::Combi { cond, i, b, target } => {
+            if alt {
+                (
+                    Op::Combi {
+                        cond,
+                        i,
+                        b,
+                        target: retarget(target),
+                    },
+                    "combi: target bit",
+                )
+            } else {
+                (
+                    Op::Combi {
+                        cond,
+                        i: im5(i),
+                        b,
+                        target,
+                    },
+                    "combi: immediate bit",
+                )
+            }
+        }
+        Op::Addib { i, b, cond, target } => {
+            if alt {
+                (
+                    Op::Addib {
+                        i,
+                        b,
+                        cond,
+                        target: retarget(target),
+                    },
+                    "addib: target bit",
+                )
+            } else {
+                (
+                    Op::Addib {
+                        i: im5(i),
+                        b,
+                        cond,
+                        target,
+                    },
+                    "addib: increment bit",
+                )
+            }
+        }
+        Op::Bb {
+            s,
+            bit,
+            sense,
+            target,
+        } => {
+            if alt {
+                (
+                    Op::Bb {
+                        s,
+                        bit,
+                        sense,
+                        target: retarget(target),
+                    },
+                    "bb: target bit",
+                )
+            } else {
+                let sense = match sense {
+                    BitSense::Set => BitSense::Clear,
+                    BitSense::Clear => BitSense::Set,
+                };
+                (
+                    Op::Bb {
+                        s,
+                        bit,
+                        sense,
+                        target,
+                    },
+                    "bb: sense bit",
+                )
+            }
+        }
+        Op::Blr { x, base } => {
+            if alt {
+                (Op::Blr { x: flip(x), base }, "blr: index-register bit")
+            } else {
+                (
+                    Op::Blr {
+                        x,
+                        base: retarget(base),
+                    },
+                    "blr: base bit",
+                )
+            }
+        }
+        Op::Nop => (Op::Break { code: 0x6B }, "nop: raised to BREAK"),
+        Op::Break { code } => (Op::Break { code: code ^ 1 }, "break: code bit"),
+        _ => unreachable!("pa-sim handles every pa-isa op"),
+    }
 }
 
 /// Re-runs the pristine program from `entry` and rewrites a completed
@@ -350,6 +730,7 @@ fn check_against_pristine(
 mod tests {
     use super::*;
     use crate::exec::run_fn;
+    use crate::PreparedProgram;
     use pa_isa::ProgramBuilder;
 
     /// r28 = 10 * r26, then r29 = r28 + r26 (a couple of dependent ops so a
@@ -585,6 +966,192 @@ mod tests {
         let (m, r) = run_with(FaultPlan::WorkerKill { worker: 0 }, 7);
         assert!(r.termination.is_completed());
         assert_eq!(m.reg(Reg::R28), 70);
+    }
+
+    /// `b next; next: ldi 1,r1` — a taken branch to the fall-through slot.
+    fn branch_to_next() -> pa_isa::Program {
+        let mut b = ProgramBuilder::new();
+        let next = b.named_label("next");
+        b.b(next);
+        b.bind(next);
+        b.ldi(1, Reg::R1);
+        b.build().unwrap()
+    }
+
+    /// The shift-and-add multiply loop of `tests/fault_proptest.rs`.
+    fn multiply_loop() -> pa_isa::Program {
+        let mut b = ProgramBuilder::new();
+        b.copy(Reg::R0, Reg::R28);
+        b.ldi(16, Reg::R3);
+        let top = b.here("loop");
+        let skip = b.named_label("skip");
+        b.bb_lsb(Reg::R25, pa_isa::BitSense::Clear, skip);
+        b.add(Reg::R26, Reg::R28, Reg::R28);
+        b.bind(skip);
+        b.add(Reg::R26, Reg::R26, Reg::R26);
+        b.shr(Reg::R25, 1, Reg::R25);
+        b.addib(-1, Reg::R3, pa_isa::Cond::Ne, top);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn armed_plans_that_never_fire_match_the_plain_run() {
+        let observed = ExecConfig::default()
+            .with_stats()
+            .with_trace()
+            .with_profile();
+        let plans = [
+            FaultPlan::ForceTrap {
+                step: 10_000,
+                code: CHAOS_BREAK,
+            },
+            FaultPlan::RegisterFlip {
+                cycle: 10_000,
+                reg: Reg::R28,
+                bit: 0,
+            },
+        ];
+        let cases = [
+            (branch_to_next(), 0, 0),
+            (sample(), 7, 0),
+            (multiply_loop(), 1234, 0xB00F),
+            (multiply_loop(), u32::MAX, 0x8000_0001),
+        ];
+        for (p, a, b) in &cases {
+            let inputs = [(Reg::R26, *a), (Reg::R25, *b)];
+            for config in [ExecConfig::default(), observed.clone()] {
+                let (m_plain, r_plain) = run_fn(p, &inputs, &config);
+                for plan in &plans {
+                    let armed =
+                        PreparedProgram::new(p, config.clone().with_fault_plan(plan.clone()));
+                    let mut m = Machine::with_regs(&inputs);
+                    let r = armed.run(&mut m);
+                    assert_eq!(m, m_plain, "{plan}");
+                    assert_eq!(r, r_plain, "{plan}: counters, stats, trace and profile");
+                }
+            }
+        }
+        let (_, r) = run_fn(&branch_to_next(), &[], &ExecConfig::default());
+        assert_eq!(r.taken_branches, 1);
+    }
+
+    #[test]
+    fn forced_trap_at_the_run_length_traps_at_the_exit() {
+        let p = sample();
+        let plan = FaultPlan::ForceTrap {
+            step: p.len() as u64,
+            code: CHAOS_BREAK,
+        };
+        let (m, r) = run_with(plan, 7);
+        assert_eq!(
+            r.termination,
+            Termination::Trapped(Trap {
+                kind: TrapKind::Break(CHAOS_BREAK),
+                at: p.len(),
+            })
+        );
+        assert_eq!(r.cycles, p.len() as u64);
+        assert_eq!(m.reg(Reg::R29), 77, "every slot ran before the trap");
+    }
+
+    #[test]
+    fn register_flip_at_the_run_length_is_caught_after_the_last_slot() {
+        let p = sample();
+        let plan = FaultPlan::RegisterFlip {
+            cycle: p.len() as u64,
+            reg: Reg::R29,
+            bit: 4,
+        };
+        let (m, r) = run_with(plan, 7);
+        assert_eq!(
+            m.reg(Reg::R29),
+            77 ^ 16,
+            "the flip landed after the last slot"
+        );
+        assert_eq!(
+            r.termination,
+            Termination::Trapped(Trap {
+                kind: TrapKind::Break(DIVERGENCE_BREAK),
+                at: p.len(),
+            })
+        );
+        assert_eq!(r.cycles, p.len() as u64);
+    }
+
+    #[test]
+    fn run_honours_an_armed_plan_like_a_prepared_run() {
+        let mut plans = vec![
+            FaultPlan::ForceTrap {
+                step: 1,
+                code: CHAOS_BREAK,
+            },
+            FaultPlan::RegisterFlip {
+                cycle: 1,
+                reg: Reg::R28,
+                bit: 0,
+            },
+            FaultPlan::WorkerKill { worker: 0 },
+        ];
+        plans.extend(
+            (0..3).flat_map(|slot| (0..8).map(move |seed| FaultPlan::DecodeCorrupt { slot, seed })),
+        );
+        let p = sample();
+        for plan in plans {
+            let config = ExecConfig::default().with_fault_plan(plan.clone());
+            let (m_prepared, r_prepared) = run_with(plan.clone(), 7);
+            let ((m_run, r_run), events) =
+                telemetry::collect(|| run_fn(&p, &[(Reg::R26, 7)], &config));
+            assert_eq!(m_run, m_prepared, "{plan}");
+            assert_eq!(r_run, r_prepared, "{plan}");
+            let injected = events
+                .iter()
+                .filter(|e| matches!(e, telemetry::Event::FaultInjected { .. }))
+                .count();
+            assert_eq!(injected, usize::from(plan.affects_execution()), "{plan}");
+        }
+    }
+
+    #[test]
+    fn corrupted_fields_stay_inside_their_encodings() {
+        // Fields at the edges of their encodings. Every mutation must build
+        // through the operand constructors, keep EXTRU's raw fields in
+        // range, and run without an arithmetic panic.
+        let mut b = ProgramBuilder::new();
+        let out = b.named_label("out");
+        b.sh1add(Reg::R1, Reg::R2, Reg::R3);
+        b.sh3add(Reg::R1, Reg::R2, Reg::R3);
+        b.extru(Reg::R1, 31, 32, Reg::R4);
+        b.extru(Reg::R1, 0, 1, Reg::R4);
+        b.addi(-1024, Reg::R1, Reg::R5);
+        b.comiclr(pa_isa::Cond::Eq, 1023, Reg::R1, Reg::R0);
+        b.ldo(-8192, Reg::R1, Reg::R6);
+        b.ldil(Im21::MAX, Reg::R6);
+        b.addib(-16, Reg::R7, pa_isa::Cond::Ne, out);
+        b.bind(out);
+        let p = b.build().unwrap();
+        let config = ExecConfig {
+            max_cycles: 100,
+            ..ExecConfig::default()
+        };
+        for (slot, insn) in p.iter().enumerate() {
+            for seed in 0..64u64 {
+                let (op, what) = corrupt_op(insn.op, mix(seed), p.len());
+                match (insn.op, op) {
+                    (_, Op::Extru { pos, len, .. }) => {
+                        assert!(pos <= 31 && (1..=32).contains(&len), "{what}: {op:?}");
+                    }
+                    (Op::ShAdd { sh: before, .. }, Op::ShAdd { sh: after, .. })
+                        if what == "shadd: shift-amount bit" =>
+                    {
+                        assert_ne!(before, after);
+                    }
+                    _ => {}
+                }
+                let plan = FaultPlan::DecodeCorrupt { slot, seed };
+                let armed = PreparedProgram::new(&p, config.clone().with_fault_plan(plan));
+                let _ = armed.run(&mut Machine::with_regs(&[(Reg::R1, u32::MAX)]));
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! count, nullified slots, taken branches, a per-instruction execution
 //! profile) so the paper's dynamic-path figures can be regenerated exactly.
 //!
+//! Each opcode is defined once, by the reference interpreter's step
+//! function, and every execution runs through one loop over the program's
+//! instructions: [`run`], [`PreparedProgram::run`], runs observed through
+//! [`SimStats`], traces or profiles, and [`fault`] drills. The loop is
+//! compiled twice — a bare instantiation with no per-slot instrumentation
+//! code, which every production run takes, and an instrumented one — so
+//! observing a run never changes the executor, and cycle counts come from
+//! one place.
+//!
 //! ## Example
 //!
 //! ```
@@ -52,11 +61,11 @@ mod prepared;
 mod stats;
 
 pub use exec::{
-    format_trace, run, run_fn, ExecConfig, Fault, RunResult, StepStatus, Stepper, Termination,
-    TraceEntry, Trap, TrapKind,
+    format_trace, run, run_fn, ExecConfig, Fault, RunResult, Termination, TraceEntry, Trap,
+    TrapKind,
 };
 pub use fault::FaultPlan;
 pub use machine::Machine;
 pub use overflow::{cheap_circuit_overflow, precise_overflow, OverflowModel};
-pub use prepared::{execute_prepared, run_fn_prepared, PreparedProgram};
+pub use prepared::PreparedProgram;
 pub use stats::{RegionCycles, SimStats};

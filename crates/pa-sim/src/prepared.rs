@@ -1,26 +1,20 @@
-//! Pre-decoded programs for hot-path execution.
+//! Prepared programs: a program and its execution configuration, shared for
+//! repeated execution.
 //!
-//! [`run`](crate::run) walks the boxed [`pa_isa::Insn`] stream and
-//! re-evaluates every immediate field (`Im11::value`, `Im21::shifted`,
-//! shift-amount bit extraction, the `31 - pos` EXTRU arithmetic) on each
-//! fetch. That is the right trade-off for a debugger, but replaying a
-//! paper workload executes the same few dozen instructions millions of
-//! times. [`PreparedProgram`] pays the decode cost once: immediates are
-//! folded to plain integers, EXTRU becomes a shift-and-mask pair, LDIL
-//! becomes a pre-shifted constant load, and the watchdog/overflow
-//! configuration is baked in at preparation time.
-//!
-//! The prepared executor is **bit-identical** to the interpreter: same
-//! architectural results, same cycle/executed/nullified/taken-branch
-//! accounting, same terminations. Runs that ask for instrumentation
-//! (profile, trace or stats) are delegated to the interpreter wholesale so
-//! the instrumented paths cannot drift.
+//! A [`PreparedProgram`] runs exactly the computation [`run`](crate::run)
+//! does — the same loop over the same `step` semantics — so
+//! the two cannot disagree on registers, PSW bits, cycle, executed,
+//! nullified or taken-branch counts, or terminations. What it adds is
+//! ownership: the program sits behind an [`Arc`] with its configuration, so
+//! a cached routine is cloned to worker threads for a reference-count bump,
+//! and a bare run (no stats, trace, profile or fault plan) records no
+//! `execute` span.
 //!
 //! # Example
 //!
 //! ```
 //! use pa_isa::{ProgramBuilder, Reg};
-//! use pa_sim::{execute_prepared, run, ExecConfig, Machine, PreparedProgram};
+//! use pa_sim::{run, ExecConfig, Machine, PreparedProgram};
 //!
 //! let mut b = ProgramBuilder::new();
 //! b.sh2add(Reg::R26, Reg::R26, Reg::R28);
@@ -29,731 +23,45 @@
 //!
 //! let prepared = PreparedProgram::new(&p, ExecConfig::default());
 //! let mut m = Machine::with_regs(&[(Reg::R26, 7)]);
-//! let fast = execute_prepared(&prepared, &mut m);
+//! let fast = prepared.run(&mut m);
 //! assert_eq!(m.reg(Reg::R28), 70);
 //!
 //! let mut m2 = Machine::with_regs(&[(Reg::R26, 7)]);
 //! let slow = run(&p, &mut m2, &ExecConfig::default());
-//! assert_eq!(fast.cycles, slow.cycles);
+//! assert_eq!(fast, slow);
 //! assert_eq!(m, m2);
 //! # Ok::<(), pa_isa::IsaError>(())
 //! ```
 
 use std::sync::Arc;
 
-use pa_isa::{BitSense, Cond, Op, Program, Reg};
+use pa_isa::Program;
 
-use crate::exec::{run, ExecConfig, Fault, RunResult, Termination, Trap, TrapKind};
-use crate::overflow::{cheap_circuit_overflow, precise_overflow, OverflowModel};
+use crate::exec::{execute, spanned, ExecConfig, RunResult};
 use crate::Machine;
 
-/// One pre-decoded instruction. Immediate fields are folded to the integer
-/// the interpreter would compute from them, so the executor loop touches no
-/// accessor methods.
-#[derive(Debug, Clone, Copy)]
-enum PreparedOp {
-    Add {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-        trap: bool,
-    },
-    Addc {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    Sub {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-        trap: bool,
-    },
-    Subb {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    ShAdd {
-        bits: u32,
-        a: Reg,
-        b: Reg,
-        t: Reg,
-        trap: bool,
-    },
-    Ds {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    Or {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    And {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    Xor {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    AndCm {
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    Comclr {
-        cond: Cond,
-        a: Reg,
-        b: Reg,
-        t: Reg,
-    },
-    Comiclr {
-        cond: Cond,
-        i: i32,
-        b: Reg,
-        t: Reg,
-    },
-    Addi {
-        i: i32,
-        b: Reg,
-        t: Reg,
-        trap: bool,
-    },
-    Subi {
-        i: i32,
-        b: Reg,
-        t: Reg,
-    },
-    Ldo {
-        d: u32,
-        b: Reg,
-        t: Reg,
-    },
-    LoadHigh {
-        value: u32,
-        t: Reg,
-    },
-    Shl {
-        s: Reg,
-        sa: u32,
-        t: Reg,
-    },
-    ShrU {
-        s: Reg,
-        sa: u32,
-        t: Reg,
-    },
-    ShrS {
-        s: Reg,
-        sa: u32,
-        t: Reg,
-    },
-    Shd {
-        hi: Reg,
-        lo: Reg,
-        sa: u32,
-        t: Reg,
-    },
-    Extru {
-        s: Reg,
-        shr: u32,
-        mask: u32,
-        t: Reg,
-    },
-    B {
-        target: usize,
-    },
-    Comb {
-        cond: Cond,
-        a: Reg,
-        b: Reg,
-        target: usize,
-    },
-    Combi {
-        cond: Cond,
-        i: i32,
-        b: Reg,
-        target: usize,
-    },
-    Addib {
-        i: u32,
-        b: Reg,
-        cond: Cond,
-        target: usize,
-    },
-    Bb {
-        s: Reg,
-        shr: u32,
-        expect: u32,
-        target: usize,
-    },
-    Blr {
-        x: Reg,
-        base: usize,
-    },
-    Nop,
-    Break {
-        code: u16,
-    },
-}
-
-fn predecode(op: &Op) -> PreparedOp {
-    match *op {
-        Op::Add { a, b, t, trap } => PreparedOp::Add { a, b, t, trap },
-        Op::Addc { a, b, t } => PreparedOp::Addc { a, b, t },
-        Op::Sub { a, b, t, trap } => PreparedOp::Sub { a, b, t, trap },
-        Op::Subb { a, b, t } => PreparedOp::Subb { a, b, t },
-        Op::ShAdd { sh, a, b, t, trap } => PreparedOp::ShAdd {
-            bits: sh.bits(),
-            a,
-            b,
-            t,
-            trap,
-        },
-        Op::Ds { a, b, t } => PreparedOp::Ds { a, b, t },
-        Op::Or { a, b, t } => PreparedOp::Or { a, b, t },
-        Op::And { a, b, t } => PreparedOp::And { a, b, t },
-        Op::Xor { a, b, t } => PreparedOp::Xor { a, b, t },
-        Op::AndCm { a, b, t } => PreparedOp::AndCm { a, b, t },
-        Op::Comclr { cond, a, b, t } => PreparedOp::Comclr { cond, a, b, t },
-        Op::Comiclr { cond, i, b, t } => PreparedOp::Comiclr {
-            cond,
-            i: i.value(),
-            b,
-            t,
-        },
-        Op::Addi { i, b, t, trap } => PreparedOp::Addi {
-            i: i.value(),
-            b,
-            t,
-            trap,
-        },
-        Op::Subi { i, b, t } => PreparedOp::Subi { i: i.value(), b, t },
-        Op::Ldo { b, d, t } => PreparedOp::Ldo {
-            d: d.value() as u32,
-            b,
-            t,
-        },
-        Op::Ldil { i, t } => PreparedOp::LoadHigh {
-            value: i.shifted(),
-            t,
-        },
-        Op::Shl { s, sa, t } => PreparedOp::Shl {
-            s,
-            sa: sa.bits(),
-            t,
-        },
-        Op::ShrU { s, sa, t } => PreparedOp::ShrU {
-            s,
-            sa: sa.bits(),
-            t,
-        },
-        Op::ShrS { s, sa, t } => PreparedOp::ShrS {
-            s,
-            sa: sa.bits(),
-            t,
-        },
-        Op::Shd { hi, lo, sa, t } => PreparedOp::Shd {
-            hi,
-            lo,
-            sa: sa.bits(),
-            t,
-        },
-        Op::Extru { s, pos, len, t } => PreparedOp::Extru {
-            s,
-            shr: 31 - u32::from(pos),
-            mask: if len == 32 {
-                u32::MAX
-            } else {
-                (1u32 << len) - 1
-            },
-            t,
-        },
-        Op::B { target } => PreparedOp::B { target },
-        Op::Comb { cond, a, b, target } => PreparedOp::Comb { cond, a, b, target },
-        Op::Combi { cond, i, b, target } => PreparedOp::Combi {
-            cond,
-            i: i.value(),
-            b,
-            target,
-        },
-        Op::Addib { i, b, cond, target } => PreparedOp::Addib {
-            i: i.value() as u32,
-            b,
-            cond,
-            target,
-        },
-        Op::Bb {
-            s,
-            bit,
-            sense,
-            target,
-        } => PreparedOp::Bb {
-            s,
-            shr: 31 - u32::from(bit),
-            expect: match sense {
-                BitSense::Set => 1,
-                BitSense::Clear => 0,
-            },
-            target,
-        },
-        Op::Blr { x, base } => PreparedOp::Blr { x, base },
-        Op::Nop => PreparedOp::Nop,
-        Op::Break { code } => PreparedOp::Break { code },
-        _ => unreachable!("pa-sim handles every pa-isa op"),
-    }
-}
-
-/// Deterministically mutates one pre-decoded op — the model of a bit upset
-/// in the decode buffer used by [`crate::FaultPlan::DecodeCorrupt`]. The
-/// mutation menu mirrors what a real single-bit flip could hit: a register
-/// field, an immediate or shift-amount bit, a branch-target bit, a trap
-/// flag, or the opcode itself (dropping the slot to a NOP). `r` selects the
-/// mutation; `len` bounds rewritten branch targets so the corrupted buffer
-/// stays indexable.
-fn corrupt_op(op: PreparedOp, r: u64, len: usize) -> (PreparedOp, &'static str) {
-    use PreparedOp as P;
-    let flip = |reg: Reg| Reg::new(reg.number() ^ 1).expect("xor 1 stays below 32");
-    let ibit = 1i32 << ((r >> 8) % 31);
-    let ubit = 1u32 << ((r >> 8) % 31);
-    let sabit = 1u32 << ((r >> 8) % 5); // shift amounts are 5-bit fields
-    let retarget = |t: usize| (t ^ 1) % len.max(1);
-    if r.is_multiple_of(4) {
-        // The upset made the slot undecodable and the fetch path reads it
-        // as a dropped instruction.
-        return (P::Nop, "slot dropped to NOP");
-    }
-    let alt = (r >> 2) & 1 == 0;
-    match op {
-        P::Add { a, b, t, trap } => {
-            if alt {
-                (
-                    P::Add {
-                        a: flip(a),
-                        b,
-                        t,
-                        trap,
-                    },
-                    "add: source-register bit",
-                )
-            } else {
-                (
-                    P::Add {
-                        a,
-                        b,
-                        t,
-                        trap: !trap,
-                    },
-                    "add: trap flag",
-                )
-            }
-        }
-        P::Addc { a, b, t } => {
-            if alt {
-                (P::Addc { a: flip(a), b, t }, "addc: source-register bit")
-            } else {
-                (P::Addc { a, b, t: flip(t) }, "addc: target-register bit")
-            }
-        }
-        P::Sub { a, b, t, trap } => {
-            if alt {
-                (
-                    P::Sub {
-                        a,
-                        b: flip(b),
-                        t,
-                        trap,
-                    },
-                    "sub: source-register bit",
-                )
-            } else {
-                (
-                    P::Sub {
-                        a,
-                        b,
-                        t,
-                        trap: !trap,
-                    },
-                    "sub: trap flag",
-                )
-            }
-        }
-        P::Subb { a, b, t } => {
-            if alt {
-                (P::Subb { a: flip(a), b, t }, "subb: source-register bit")
-            } else {
-                (P::Subb { a, b, t: flip(t) }, "subb: target-register bit")
-            }
-        }
-        P::ShAdd {
-            bits,
-            a,
-            b,
-            t,
-            trap,
-        } => {
-            if alt {
-                (
-                    P::ShAdd {
-                        bits: bits ^ 1,
-                        a,
-                        b,
-                        t,
-                        trap,
-                    },
-                    "shadd: shift-amount bit",
-                )
-            } else {
-                (
-                    P::ShAdd {
-                        bits,
-                        a,
-                        b,
-                        t: flip(t),
-                        trap,
-                    },
-                    "shadd: target-register bit",
-                )
-            }
-        }
-        P::Ds { a, b, t } => {
-            if alt {
-                (P::Ds { a: flip(a), b, t }, "ds: source-register bit")
-            } else {
-                (P::Ds { a, b, t: flip(t) }, "ds: target-register bit")
-            }
-        }
-        P::Or { a, b, t } => (P::Or { a: flip(a), b, t }, "or: source-register bit"),
-        P::And { a, b, t } => (P::And { a, b: flip(b), t }, "and: source-register bit"),
-        P::Xor { a, b, t } => (P::Xor { a: flip(a), b, t }, "xor: source-register bit"),
-        P::AndCm { a, b, t } => (P::AndCm { a, b: flip(b), t }, "andcm: source-register bit"),
-        P::Comclr { cond, a, b, t } => {
-            if alt {
-                (
-                    P::Comclr {
-                        cond,
-                        a: flip(a),
-                        b,
-                        t,
-                    },
-                    "comclr: source-register bit",
-                )
-            } else {
-                (
-                    P::Comclr {
-                        cond,
-                        a,
-                        b: flip(b),
-                        t,
-                    },
-                    "comclr: source-register bit",
-                )
-            }
-        }
-        P::Comiclr { cond, i, b, t } => {
-            if alt {
-                (
-                    P::Comiclr {
-                        cond,
-                        i: i ^ ibit,
-                        b,
-                        t,
-                    },
-                    "comiclr: immediate bit",
-                )
-            } else {
-                (
-                    P::Comiclr {
-                        cond,
-                        i,
-                        b: flip(b),
-                        t,
-                    },
-                    "comiclr: source-register bit",
-                )
-            }
-        }
-        P::Addi { i, b, t, trap } => {
-            if alt {
-                (
-                    P::Addi {
-                        i: i ^ ibit,
-                        b,
-                        t,
-                        trap,
-                    },
-                    "addi: immediate bit",
-                )
-            } else {
-                (
-                    P::Addi {
-                        i,
-                        b,
-                        t,
-                        trap: !trap,
-                    },
-                    "addi: trap flag",
-                )
-            }
-        }
-        P::Subi { i, b, t } => {
-            if alt {
-                (P::Subi { i: i ^ ibit, b, t }, "subi: immediate bit")
-            } else {
-                (P::Subi { i, b, t: flip(t) }, "subi: target-register bit")
-            }
-        }
-        P::Ldo { d, b, t } => {
-            if alt {
-                (P::Ldo { d: d ^ ubit, b, t }, "ldo: displacement bit")
-            } else {
-                (P::Ldo { d, b: flip(b), t }, "ldo: base-register bit")
-            }
-        }
-        P::LoadHigh { value, t } => {
-            if alt {
-                (
-                    P::LoadHigh {
-                        value: value ^ ubit,
-                        t,
-                    },
-                    "ldil: constant bit",
-                )
-            } else {
-                (
-                    P::LoadHigh { value, t: flip(t) },
-                    "ldil: target-register bit",
-                )
-            }
-        }
-        P::Shl { s, sa, t } => (
-            P::Shl {
-                s,
-                sa: sa ^ sabit,
-                t,
-            },
-            "shl: shift-amount bit",
-        ),
-        P::ShrU { s, sa, t } => (
-            P::ShrU {
-                s,
-                sa: sa ^ sabit,
-                t,
-            },
-            "shr: shift-amount bit",
-        ),
-        P::ShrS { s, sa, t } => (
-            P::ShrS {
-                s,
-                sa: sa ^ sabit,
-                t,
-            },
-            "sar: shift-amount bit",
-        ),
-        P::Shd { hi, lo, sa, t } => {
-            if alt {
-                (
-                    P::Shd {
-                        hi,
-                        lo,
-                        sa: sa ^ sabit,
-                        t,
-                    },
-                    "shd: shift-amount bit",
-                )
-            } else {
-                (
-                    P::Shd {
-                        hi: flip(hi),
-                        lo,
-                        sa,
-                        t,
-                    },
-                    "shd: source-register bit",
-                )
-            }
-        }
-        P::Extru { s, shr, mask, t } => {
-            if alt {
-                (
-                    P::Extru {
-                        s,
-                        shr: shr ^ sabit,
-                        mask,
-                        t,
-                    },
-                    "extru: position bit",
-                )
-            } else {
-                (
-                    P::Extru {
-                        s,
-                        shr,
-                        mask: mask ^ ubit,
-                        t,
-                    },
-                    "extru: mask bit",
-                )
-            }
-        }
-        P::B { target } => (
-            P::B {
-                target: retarget(target),
-            },
-            "b: target bit",
-        ),
-        P::Comb { cond, a, b, target } => {
-            if alt {
-                (
-                    P::Comb {
-                        cond,
-                        a,
-                        b,
-                        target: retarget(target),
-                    },
-                    "comb: target bit",
-                )
-            } else {
-                (
-                    P::Comb {
-                        cond,
-                        a: flip(a),
-                        b,
-                        target,
-                    },
-                    "comb: source-register bit",
-                )
-            }
-        }
-        P::Combi { cond, i, b, target } => {
-            if alt {
-                (
-                    P::Combi {
-                        cond,
-                        i,
-                        b,
-                        target: retarget(target),
-                    },
-                    "combi: target bit",
-                )
-            } else {
-                (
-                    P::Combi {
-                        cond,
-                        i: i ^ ibit,
-                        b,
-                        target,
-                    },
-                    "combi: immediate bit",
-                )
-            }
-        }
-        P::Addib { i, b, cond, target } => {
-            if alt {
-                (
-                    P::Addib {
-                        i,
-                        b,
-                        cond,
-                        target: retarget(target),
-                    },
-                    "addib: target bit",
-                )
-            } else {
-                (
-                    P::Addib {
-                        i: i ^ ubit,
-                        b,
-                        cond,
-                        target,
-                    },
-                    "addib: increment bit",
-                )
-            }
-        }
-        P::Bb {
-            s,
-            shr,
-            expect,
-            target,
-        } => {
-            if alt {
-                (
-                    P::Bb {
-                        s,
-                        shr,
-                        expect,
-                        target: retarget(target),
-                    },
-                    "bb: target bit",
-                )
-            } else {
-                (
-                    P::Bb {
-                        s,
-                        shr,
-                        expect: expect ^ 1,
-                        target,
-                    },
-                    "bb: sense bit",
-                )
-            }
-        }
-        P::Blr { x, base } => {
-            if alt {
-                (P::Blr { x: flip(x), base }, "blr: index-register bit")
-            } else {
-                (
-                    P::Blr {
-                        x,
-                        base: retarget(base),
-                    },
-                    "blr: base bit",
-                )
-            }
-        }
-        P::Nop => (P::Break { code: 0x6B }, "nop: raised to BREAK"),
-        P::Break { code } => (P::Break { code: code ^ 1 }, "break: code bit"),
-    }
-}
-
-/// A program decoded once for repeated execution: labels already resolved
-/// (they were at build time), immediates folded, and the execution
-/// configuration (overflow model, watchdog, instrumentation switches)
-/// baked in.
+/// A program bundled with the execution configuration (overflow model,
+/// watchdog, instrumentation switches, fault plan) it runs under.
 ///
 /// Construct with [`PreparedProgram::new`], execute with
-/// [`PreparedProgram::run`] or the free function [`execute_prepared`].
-/// The original [`Program`] is retained for listings, label lookups and
-/// instrumented (stats/trace/profile) runs, which delegate to the
-/// interpreter verbatim.
-///
-/// The source program and the decoded stream sit behind [`Arc`]s, so
-/// cloning a prepared program is a pair of reference-count bumps:
-/// `PreparedProgram` is `Send + Sync` and clones can be handed to worker
-/// threads without re-decoding or copying code.
+/// [`PreparedProgram::run`]. The source [`Program`] sits behind an [`Arc`],
+/// so cloning a prepared program is a reference-count bump plus a copy of
+/// the configuration: `PreparedProgram` is `Send + Sync` and clones can be
+/// handed to worker threads without copying code.
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     program: Arc<Program>,
-    code: Arc<[PreparedOp]>,
     config: ExecConfig,
 }
 
 impl PreparedProgram {
-    /// Pre-decodes `program` under `config`.
+    /// Prepares `program` to run under `config`.
     #[must_use]
     pub fn new(program: &Program, config: ExecConfig) -> PreparedProgram {
         let _span =
             telemetry::span::enter_with("prepare", || format!("{} instructions", program.len()));
-        let code = program.iter().map(|insn| predecode(&insn.op)).collect();
         PreparedProgram {
             program: Arc::new(program.clone()),
-            code,
             config,
         }
     }
@@ -773,414 +81,39 @@ impl PreparedProgram {
     /// Number of instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.code.len()
+        self.program.len()
     }
 
     /// Whether the program is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
+        self.program.is_empty()
     }
 
     /// Executes the prepared program on `machine`.
     ///
-    /// Identical observable behaviour to `run(self.program(), machine,
-    /// self.config())` — same registers, PSW bits, cycle counts and
-    /// termination. When the configuration requests instrumentation
-    /// (profile, trace or stats) the interpreter runs instead, so
-    /// instrumented results are the interpreter's by construction.
-    ///
-    /// When the configuration arms an execution-affecting
-    /// [`FaultPlan`](crate::FaultPlan), the run is diverted to the
-    /// fault-injecting executor (see [`crate::fault`]); the unarmed check
-    /// is a single `Option` test per run, so the fast path is untouched.
+    /// The same computation as `run(self.program(), machine, self.config())`
+    /// — including an armed [`FaultPlan`](crate::FaultPlan), which is acted
+    /// on as [`crate::fault`] describes. A run observed through stats,
+    /// trace or profile records the same `execute` span as
+    /// [`run`](crate::run); any other run records none of its own, so the
+    /// production path stays free of span bookkeeping.
     pub fn run(&self, machine: &mut Machine) -> RunResult {
-        if let Some(plan) = &self.config.fault_plan {
-            if plan.affects_execution() {
-                return crate::fault::run_with_plan(self, machine, plan);
-            }
+        if self.config.observes_slots() {
+            return spanned(|| execute(&self.program, machine, &self.config));
         }
-        if self.config.profile || self.config.trace || self.config.stats {
-            return run(&self.program, machine, &self.config);
-        }
-        self.run_fast(machine)
+        execute(&self.program, machine, &self.config)
     }
-
-    /// Corrupts one decode slot, returning the corrupted program and a
-    /// description of the mutation. `None` when `slot` is out of range.
-    /// The mutation is chosen deterministically from `r` (pre-mixed by the
-    /// caller); the source [`Program`] and configuration are shared, so a
-    /// corrupted clone costs one `Vec` copy of the decode buffer.
-    pub(crate) fn corrupt_slot(
-        &self,
-        slot: usize,
-        r: u64,
-    ) -> Option<(PreparedProgram, &'static str)> {
-        let op = *self.code.get(slot)?;
-        let (mutated, what) = corrupt_op(op, r, self.code.len());
-        let mut code: Vec<PreparedOp> = self.code.to_vec();
-        code[slot] = mutated;
-        Some((
-            PreparedProgram {
-                program: Arc::clone(&self.program),
-                code: code.into(),
-                config: self.config.clone(),
-            },
-            what,
-        ))
-    }
-
-    pub(crate) fn run_fast(&self, m: &mut Machine) -> RunResult {
-        let code = &self.code;
-        let len = code.len();
-        let max_cycles = self.config.max_cycles;
-        let precise = self.config.overflow == OverflowModel::Precise;
-
-        let mut result = RunResult {
-            cycles: 0,
-            executed: 0,
-            nullified: 0,
-            taken_branches: 0,
-            termination: Termination::Completed,
-            profile: Vec::new(),
-            trace: Vec::new(),
-            stats: None,
-        };
-        let mut pc = 0usize;
-        let mut nullify_next = false;
-
-        let overflows = |a: i32, sh: u32, b: i32| -> bool {
-            if precise {
-                precise_overflow(a, sh, b)
-            } else {
-                cheap_circuit_overflow(a, sh, b)
-            }
-        };
-
-        'fetch: while pc < len {
-            if result.cycles >= max_cycles {
-                result.termination = Termination::CycleLimit;
-                break 'fetch;
-            }
-            result.cycles += 1;
-
-            if nullify_next {
-                nullify_next = false;
-                result.nullified += 1;
-                pc += 1;
-                continue;
-            }
-            result.executed += 1;
-
-            match code[pc] {
-                PreparedOp::Add { a, b, t, trap } => {
-                    let (av, bv) = (m.reg(a), m.reg(b));
-                    if trap && overflows(av as i32, 0, bv as i32) {
-                        result.termination = Termination::Trapped(Trap {
-                            kind: TrapKind::Overflow,
-                            at: pc,
-                        });
-                        break 'fetch;
-                    }
-                    let (sum, c) = add_with_carry(av, bv, false);
-                    m.set_reg(t, sum);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::Addc { a, b, t } => {
-                    let (sum, c) = add_with_carry(m.reg(a), m.reg(b), m.carry());
-                    m.set_reg(t, sum);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::Sub { a, b, t, trap } => {
-                    let (av, bv) = (m.reg(a), m.reg(b));
-                    if trap {
-                        let full = i64::from(av as i32) - i64::from(bv as i32);
-                        if i32::try_from(full).is_err() {
-                            result.termination = Termination::Trapped(Trap {
-                                kind: TrapKind::Overflow,
-                                at: pc,
-                            });
-                            break 'fetch;
-                        }
-                    }
-                    let (diff, c) = add_with_carry(av, !bv, true);
-                    m.set_reg(t, diff);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::Subb { a, b, t } => {
-                    let (diff, c) = add_with_carry(m.reg(a), !m.reg(b), m.carry());
-                    m.set_reg(t, diff);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::ShAdd {
-                    bits,
-                    a,
-                    b,
-                    t,
-                    trap,
-                } => {
-                    let (av, bv) = (m.reg(a), m.reg(b));
-                    if trap && overflows(av as i32, bits, bv as i32) {
-                        result.termination = Termination::Trapped(Trap {
-                            kind: TrapKind::Overflow,
-                            at: pc,
-                        });
-                        break 'fetch;
-                    }
-                    let shifted = av.wrapping_shl(bits);
-                    let (sum, c) = add_with_carry(shifted, bv, false);
-                    m.set_reg(t, sum);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::Ds { a, b, t } => {
-                    let shifted = m.reg(a).wrapping_shl(1) | u32::from(m.carry());
-                    let bv = m.reg(b);
-                    let (res, c) = if m.v_bit() {
-                        add_with_carry(shifted, bv, false)
-                    } else {
-                        add_with_carry(shifted, !bv, true)
-                    };
-                    m.set_reg(t, res);
-                    m.set_carry(c);
-                    m.set_v_bit(!c);
-                    pc += 1;
-                }
-                PreparedOp::Or { a, b, t } => {
-                    m.set_reg(t, m.reg(a) | m.reg(b));
-                    pc += 1;
-                }
-                PreparedOp::And { a, b, t } => {
-                    m.set_reg(t, m.reg(a) & m.reg(b));
-                    pc += 1;
-                }
-                PreparedOp::Xor { a, b, t } => {
-                    m.set_reg(t, m.reg(a) ^ m.reg(b));
-                    pc += 1;
-                }
-                PreparedOp::AndCm { a, b, t } => {
-                    m.set_reg(t, m.reg(a) & !m.reg(b));
-                    pc += 1;
-                }
-                PreparedOp::Comclr { cond, a, b, t } => {
-                    let taken = cond.eval(m.reg_i32(a), m.reg_i32(b));
-                    m.set_reg(t, 0);
-                    nullify_next = taken;
-                    pc += 1;
-                }
-                PreparedOp::Comiclr { cond, i, b, t } => {
-                    let taken = cond.eval(i, m.reg_i32(b));
-                    m.set_reg(t, 0);
-                    nullify_next = taken;
-                    pc += 1;
-                }
-                PreparedOp::Addi { i, b, t, trap } => {
-                    let bv = m.reg(b);
-                    if trap && overflows(i, 0, bv as i32) {
-                        result.termination = Termination::Trapped(Trap {
-                            kind: TrapKind::Overflow,
-                            at: pc,
-                        });
-                        break 'fetch;
-                    }
-                    let (sum, c) = add_with_carry(i as u32, bv, false);
-                    m.set_reg(t, sum);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::Subi { i, b, t } => {
-                    let (diff, c) = add_with_carry(i as u32, !m.reg(b), true);
-                    m.set_reg(t, diff);
-                    m.set_carry(c);
-                    pc += 1;
-                }
-                PreparedOp::Ldo { d, b, t } => {
-                    m.set_reg(t, m.reg(b).wrapping_add(d));
-                    pc += 1;
-                }
-                PreparedOp::LoadHigh { value, t } => {
-                    m.set_reg(t, value);
-                    pc += 1;
-                }
-                PreparedOp::Shl { s, sa, t } => {
-                    m.set_reg(t, m.reg(s).wrapping_shl(sa));
-                    pc += 1;
-                }
-                PreparedOp::ShrU { s, sa, t } => {
-                    m.set_reg(t, m.reg(s) >> sa);
-                    pc += 1;
-                }
-                PreparedOp::ShrS { s, sa, t } => {
-                    m.set_reg(t, (m.reg_i32(s) >> sa) as u32);
-                    pc += 1;
-                }
-                PreparedOp::Shd { hi, lo, sa, t } => {
-                    let pair = (u64::from(m.reg(hi)) << 32) | u64::from(m.reg(lo));
-                    m.set_reg(t, (pair >> sa) as u32);
-                    pc += 1;
-                }
-                PreparedOp::Extru { s, shr, mask, t } => {
-                    m.set_reg(t, (m.reg(s) >> shr) & mask);
-                    pc += 1;
-                }
-                PreparedOp::B { target } => {
-                    result.taken_branches += 1;
-                    pc = target;
-                }
-                PreparedOp::Comb { cond, a, b, target } => {
-                    if cond.eval(m.reg_i32(a), m.reg_i32(b)) {
-                        result.taken_branches += 1;
-                        pc = target;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                PreparedOp::Combi { cond, i, b, target } => {
-                    if cond.eval(i, m.reg_i32(b)) {
-                        result.taken_branches += 1;
-                        pc = target;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                PreparedOp::Addib { i, b, cond, target } => {
-                    let updated = m.reg(b).wrapping_add(i);
-                    m.set_reg(b, updated);
-                    if cond.eval(updated as i32, 0) {
-                        result.taken_branches += 1;
-                        pc = target;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                PreparedOp::Bb {
-                    s,
-                    shr,
-                    expect,
-                    target,
-                } => {
-                    if (m.reg(s) >> shr) & 1 == expect {
-                        result.taken_branches += 1;
-                        pc = target;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                PreparedOp::Blr { x, base } => {
-                    let target = base as u64 + 2 * u64::from(m.reg(x));
-                    if target > len as u64 {
-                        result.termination = Termination::Faulted(Fault { at: pc, target });
-                        break 'fetch;
-                    }
-                    result.taken_branches += 1;
-                    pc = target as usize;
-                }
-                PreparedOp::Nop => pc += 1,
-                PreparedOp::Break { code } => {
-                    result.termination = Termination::Trapped(Trap {
-                        kind: TrapKind::Break(code),
-                        at: pc,
-                    });
-                    break 'fetch;
-                }
-            }
-        }
-        result
-    }
-}
-
-/// Adds `x + y + cin` and returns `(sum, carry_out)`.
-fn add_with_carry(x: u32, y: u32, cin: bool) -> (u32, bool) {
-    let wide = u64::from(x) + u64::from(y) + u64::from(cin);
-    (wide as u32, wide >> 32 != 0)
-}
-
-/// Executes a [`PreparedProgram`] on `machine` — free-function spelling of
-/// [`PreparedProgram::run`].
-pub fn execute_prepared(prepared: &PreparedProgram, machine: &mut Machine) -> RunResult {
-    prepared.run(machine)
-}
-
-/// Convenience wrapper mirroring [`crate::run_fn`]: preload registers into a
-/// fresh machine, execute the prepared program, return both.
-pub fn run_fn_prepared(prepared: &PreparedProgram, inputs: &[(Reg, u32)]) -> (Machine, RunResult) {
-    let mut machine = Machine::with_regs(inputs);
-    let result = prepared.run(&mut machine);
-    (machine, result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_fn;
-    use pa_isa::{Cond, ProgramBuilder};
-
-    fn assert_equivalent(p: &Program, inputs: &[(Reg, u32)], config: &ExecConfig) {
-        let (m_slow, r_slow) = run_fn(p, inputs, config);
-        let prepared = PreparedProgram::new(p, config.clone());
-        let (m_fast, r_fast) = run_fn_prepared(&prepared, inputs);
-        assert_eq!(m_slow, m_fast, "machine state must match");
-        assert_eq!(r_slow.cycles, r_fast.cycles);
-        assert_eq!(r_slow.executed, r_fast.executed);
-        assert_eq!(r_slow.nullified, r_fast.nullified);
-        assert_eq!(r_slow.taken_branches, r_fast.taken_branches);
-        assert_eq!(r_slow.termination, r_fast.termination);
-    }
+    use crate::OverflowModel;
+    use pa_isa::{Cond, ProgramBuilder, Reg};
 
     #[test]
-    fn prepared_matches_interpreter_on_branchy_loop() {
-        let mut b = ProgramBuilder::new();
-        b.ldi(6, Reg::R1);
-        b.ldi(0, Reg::R2);
-        let top = b.here("loop");
-        b.add(Reg::R1, Reg::R2, Reg::R2);
-        b.comclr(Cond::Odd, Reg::R1, Reg::R0, Reg::R0);
-        b.sh1add(Reg::R2, Reg::R0, Reg::R2);
-        b.addib(-1, Reg::R1, Cond::Ne, top);
-        let p = b.build().unwrap();
-        assert_equivalent(&p, &[], &ExecConfig::default());
-    }
-
-    #[test]
-    fn prepared_matches_interpreter_on_traps() {
-        let mut b = ProgramBuilder::new();
-        b.load_const(0x7FFF_FFFF, Reg::R1);
-        b.addio(1, Reg::R1, Reg::R2);
-        let p = b.build().unwrap();
-        assert_equivalent(&p, &[], &ExecConfig::default());
-        assert_equivalent(&p, &[], &ExecConfig::precise());
-    }
-
-    #[test]
-    fn prepared_matches_interpreter_on_faults() {
-        let mut b = ProgramBuilder::new();
-        let table = b.named_label("table");
-        b.blr(Reg::R1, table);
-        b.bind(table);
-        b.nop();
-        let p = b.build().unwrap();
-        assert_equivalent(&p, &[(Reg::R1, 500)], &ExecConfig::default());
-    }
-
-    #[test]
-    fn prepared_matches_interpreter_on_cycle_limit() {
-        let mut b = ProgramBuilder::new();
-        let top = b.here("spin");
-        b.b(top);
-        let p = b.build().unwrap();
-        let cfg = ExecConfig {
-            max_cycles: 100,
-            ..ExecConfig::default()
-        };
-        assert_equivalent(&p, &[], &cfg);
-    }
-
-    #[test]
-    fn instrumented_runs_delegate_to_the_interpreter() {
+    fn instrumented_runs_carry_stats_and_profile() {
         let mut b = ProgramBuilder::new();
         b.ldi(3, Reg::R1);
         let top = b.here("top");
@@ -1189,7 +122,7 @@ mod tests {
         let prepared = PreparedProgram::new(&p, ExecConfig::default().with_stats().with_profile());
         let mut m = Machine::new();
         let r = prepared.run(&mut m);
-        assert!(r.stats.is_some(), "delegated run must carry stats");
+        assert!(r.stats.is_some(), "observed run must carry stats");
         assert_eq!(r.profile, vec![1, 3]);
     }
 
@@ -1203,8 +136,7 @@ mod tests {
         let p = b.build().unwrap();
         let prepared = PreparedProgram::new(&p, ExecConfig::default());
         let clone = prepared.clone();
-        // Clones are reference-count bumps, not re-decodes.
-        assert!(Arc::ptr_eq(&prepared.code, &clone.code));
+        // Clones are reference-count bumps, not copies of the program.
         assert!(Arc::ptr_eq(&prepared.program, &clone.program));
         // And a clone runs fine on another thread.
         let handle = std::thread::spawn(move || {

@@ -2,9 +2,9 @@
 //! attribution.
 //!
 //! Collection is opt-in via [`ExecConfig::stats`](crate::ExecConfig); when it
-//! is off the interpreter's hot loop takes a single never-taken branch per
-//! slot and allocates nothing, so the zero-instrumentation cycle counts are
-//! bit-identical with and without the feature compiled in.
+//! (and trace and profile) is off a run takes the bare instantiation of the
+//! run loop, which has no per-slot instrumentation code and allocates
+//! nothing, and cycle counts are bit-identical either way.
 
 use std::collections::BTreeMap;
 
@@ -127,10 +127,12 @@ impl SimStats {
 }
 
 /// The in-loop collector: owns the stats being built plus the `pc → region`
-/// map precomputed from the program's label table.
+/// map precomputed from the program's label table. The stats are boxed from
+/// the start, so moving the recorder and returning the result copies no
+/// histograms.
 #[derive(Debug)]
 pub(crate) struct StatsRecorder {
-    stats: SimStats,
+    stats: Box<SimStats>,
     region_of: Vec<u32>,
     region_scratch: Vec<RegionCycles>,
 }
@@ -165,7 +167,7 @@ impl StatsRecorder {
             *slot = current;
         }
         StatsRecorder {
-            stats: SimStats::new(),
+            stats: Box::new(SimStats::new()),
             region_of,
             region_scratch: regions,
         }
@@ -208,7 +210,7 @@ impl StatsRecorder {
 
     /// Finalises: regions that never ran are dropped, the rest keep program
     /// order.
-    pub(crate) fn finish(mut self) -> SimStats {
+    pub(crate) fn finish(mut self) -> Box<SimStats> {
         self.stats.regions = self
             .region_scratch
             .into_iter()

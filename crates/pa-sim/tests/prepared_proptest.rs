@@ -1,22 +1,36 @@
-//! Property tests for the pre-decoded fast path: [`PreparedProgram`] must be
-//! bit-identical to the interpreter — same final machine, same cycle,
-//! executed, nullified and taken-branch counts, same termination — across
-//! randomized operands for programs covering every predecoded op class.
+//! Property tests for the run loop's two instantiations: a bare run (the
+//! uninstrumented loop every production run takes) must be bit-identical to
+//! an observed run (stats, trace and profile on: the instrumented loop) —
+//! same final machine, same cycle, executed, nullified and taken-branch
+//! counts, same termination — under both overflow models, across randomized
+//! operands for programs covering every op class. The observed run's
+//! records must also account for every slot.
 
 use pa_isa::{BitSense, Cond, Program, ProgramBuilder, Reg, ShAmount};
-use pa_sim::{run_fn, run_fn_prepared, ExecConfig, PreparedProgram};
+use pa_sim::{run_fn, ExecConfig, Machine, OverflowModel, PreparedProgram};
 use proptest::prelude::*;
 
 fn assert_equivalent(p: &Program, inputs: &[(Reg, u32)], config: &ExecConfig) {
-    let (m_slow, r_slow) = run_fn(p, inputs, config);
-    let prepared = PreparedProgram::new(p, config.clone());
-    let (m_fast, r_fast) = run_fn_prepared(&prepared, inputs);
-    assert_eq!(m_slow, m_fast, "machine state must match");
-    assert_eq!(r_slow.cycles, r_fast.cycles);
-    assert_eq!(r_slow.executed, r_fast.executed);
-    assert_eq!(r_slow.nullified, r_fast.nullified);
-    assert_eq!(r_slow.taken_branches, r_fast.taken_branches);
-    assert_eq!(r_slow.termination, r_fast.termination);
+    for overflow in [OverflowModel::CheapCircuit, OverflowModel::Precise] {
+        let config = ExecConfig {
+            overflow,
+            ..config.clone()
+        };
+        let mut m_bare = Machine::with_regs(inputs);
+        let r_bare = PreparedProgram::new(p, config.clone()).run(&mut m_bare);
+        let observed = config.with_stats().with_trace().with_profile();
+        let (m_obs, r_obs) = run_fn(p, inputs, &observed);
+        assert_eq!(m_bare, m_obs, "machine state must match");
+        assert_eq!(r_bare.cycles, r_obs.cycles);
+        assert_eq!(r_bare.executed, r_obs.executed);
+        assert_eq!(r_bare.nullified, r_obs.nullified);
+        assert_eq!(r_bare.taken_branches, r_obs.taken_branches);
+        assert_eq!(r_bare.termination, r_obs.termination);
+        let stats = r_obs.stats.as_deref().expect("stats were on");
+        assert_eq!(stats.executed_total(), r_obs.executed);
+        assert_eq!(r_obs.trace.len() as u64, r_obs.cycles);
+        assert_eq!(r_obs.profile.iter().sum::<u64>(), r_obs.executed);
+    }
 }
 
 /// Straight-line arithmetic touching carries, borrows, shift-adds, logic
@@ -90,7 +104,6 @@ proptest! {
         let p = arith_program();
         let inputs = [(Reg::R26, a), (Reg::R25, b)];
         assert_equivalent(&p, &inputs, &ExecConfig::default());
-        assert_equivalent(&p, &inputs, &ExecConfig::precise());
     }
 
     #[test]
@@ -98,9 +111,9 @@ proptest! {
         let p = ds_divide_program();
         let inputs = [(Reg::R26, x), (Reg::R25, y)];
         assert_equivalent(&p, &inputs, &ExecConfig::default());
-        // The fast path must also agree on the quotient itself.
-        let prepared = PreparedProgram::new(&p, ExecConfig::default());
-        let (m, _) = run_fn_prepared(&prepared, &inputs);
+        // Both must also agree with the quotient itself.
+        let mut m = Machine::with_regs(&inputs);
+        PreparedProgram::new(&p, ExecConfig::default()).run(&mut m);
         prop_assert_eq!(m.reg(Reg::R26), x / y);
     }
 
@@ -112,22 +125,20 @@ proptest! {
 
     #[test]
     fn trapping_adds_match(a in any::<u32>(), b in any::<u32>()) {
-        // ADDO/SUBO/SH3ADDO trap on signed overflow; the fast path must trap
-        // at the same instruction with the same partial state.
+        // ADDO/SUBO/SH3ADDO trap on signed overflow; both runs must trap at
+        // the same instruction with the same partial state.
         let mut builder = ProgramBuilder::new();
         builder.addo(Reg::R26, Reg::R25, Reg::R1);
         builder.shaddo(ShAmount::Three, Reg::R1, Reg::R26, Reg::R2);
         builder.subo(Reg::R2, Reg::R25, Reg::R3);
         let p = builder.build().unwrap();
-        let inputs = [(Reg::R26, a), (Reg::R25, b)];
-        assert_equivalent(&p, &inputs, &ExecConfig::default());
-        assert_equivalent(&p, &inputs, &ExecConfig::precise());
+        assert_equivalent(&p, &[(Reg::R26, a), (Reg::R25, b)], &ExecConfig::default());
     }
 
     #[test]
     fn cycle_limits_match(a in any::<u32>(), budget in 1u64..40) {
         // An infinite loop cut off by the watchdog must stop at the same
-        // cycle with the same counters on both paths.
+        // cycle with the same counters in both instantiations.
         let mut builder = ProgramBuilder::new();
         let top = builder.here("spin");
         builder.addi(1, Reg::R1, Reg::R1);

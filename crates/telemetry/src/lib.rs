@@ -126,7 +126,7 @@ pub enum Event {
         /// Entries resident after the lookup (and any insertion).
         entries: usize,
     },
-    /// A program was pre-decoded into its dense executable form.
+    /// A program was prepared for repeated execution.
     Prepare {
         /// What was prepared (an operation display form or routine name).
         label: String,

@@ -18,14 +18,14 @@
 //! `report` replays the paper-table workloads (Figure 5 multiply classes,
 //! the general divide, the §7 dispatch, constant multiply/divide) with
 //! cycle-attribution stats and telemetry enabled, times the E13 operand
-//! mix through the one-shot path and the cached/pre-decoded hot path, and
+//! mix through the one-shot path and the cached/prepared hot path, and
 //! measures the same mix through the worker-pool engine at 1/2/4/8
 //! threads. The output is one JSON object:
 //! `{"schema_version": N, "workloads": […], "throughput": […],
 //! "parallel": […]}`.
 //!
-//! `verify` runs every generated case through the interpreter, the prepared
-//! fast path, a batched session, and the independent reference oracle, and
+//! `verify` runs every generated case through the observed interpreter, the
+//! bare prepared run, a batched session, and the independent reference oracle, and
 //! checks observed cycles against the per-strategy budgets. Failures land in
 //! a JSONL artifact plus a shrunk one-line minimal replay file.
 //!

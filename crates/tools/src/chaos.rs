@@ -13,7 +13,7 @@
 //!
 //! * **trap-storm** — forced `BREAK` traps swept across the general unsigned
 //!   divide millicode;
-//! * **decode-corrupt** — one pre-decoded slot of the switched multiply
+//! * **decode-corrupt** — one instruction slot of the switched multiply
 //!   millicode mutated before the run;
 //! * **register-flip** — one register bit flipped mid-run;
 //! * **shard-poison** — a compile-cache shard's mutex poisoned for real on
@@ -40,7 +40,7 @@ pub enum Drill {
     ShardPoison,
     /// Sweep forced `BREAK` traps across the divide millicode.
     TrapStorm,
-    /// Corrupt pre-decoded slots of the multiply millicode.
+    /// Corrupt instruction slots of the multiply millicode.
     DecodeCorrupt,
     /// Flip register bits mid-run.
     RegisterFlip,

@@ -329,8 +329,8 @@ pub fn execute(opts: &LintOptions) -> LintRunReport {
     let start = Instant::now();
     let mut run = LintRunReport::default();
 
-    // §5 chains: every multiplier 0..=mul_max, unchecked and checked, plus
-    // the negated and wide spot checks.
+    // §5 chains: every multiplier 0..=mul_max and the negated and wide spot
+    // checks, each unchecked and checked.
     for n in 0..=opts.mul_max {
         for checked in [false, true] {
             if let Some((label, report)) = lint_mul(n, checked) {
@@ -349,8 +349,10 @@ pub fn execute(opts: &LintOptions) -> LintRunReport {
         i64::from(i32::MAX),
         i64::from(i32::MIN),
     ] {
-        if let Some((label, report)) = lint_mul(n, false) {
-            run.absorb(&label, &report);
+        for checked in [false, true] {
+            if let Some((label, report)) = lint_mul(n, checked) {
+                run.absorb(&label, &report);
+            }
         }
     }
 

@@ -28,7 +28,7 @@
 //! The `throughput` records time the same E13 operand mix twice in wall
 //! clock: once through the old one-shot path (cold compile per operation,
 //! fresh machine per call, interpreter execution) and once through the hot
-//! path (strategy-keyed compile cache, pre-decoded programs, batched
+//! path (strategy-keyed compile cache, prepared programs, batched
 //! sessions). Simulated cycles and result checksums are asserted identical
 //! between the passes — the speedup is pure host-side overhead removed.
 
@@ -119,7 +119,7 @@ pub struct ThroughputReport {
     /// Wall-clock nanoseconds for the cold-compile, fresh-machine,
     /// interpreter pass.
     pub unprepared_ns: u64,
-    /// Wall-clock nanoseconds for the cached, pre-decoded, batched pass.
+    /// Wall-clock nanoseconds for the cached, prepared, batched pass.
     pub prepared_ns: u64,
 }
 

@@ -3,7 +3,7 @@
 //! Modes (combinable; at least one of fuzz/sweep/replay runs):
 //!
 //! * **fuzz** (default) — `--seed N --cases N` structured cases through
-//!   interpreter, prepared fast path, batched session, and oracle;
+//!   observed interpreter, bare prepared run, batched session, and oracle;
 //! * **sweep** — `--sweep smoke` (every 257th 16-bit constant) or
 //!   `--sweep full` (all of them; a long lunch) over boundary operands;
 //! * **replay** — `--replay FILE` re-checks previously written failure

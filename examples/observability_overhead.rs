@@ -1,11 +1,11 @@
 //! Measures the observability overhead ladder quoted in
 //! `docs/OBSERVABILITY.md`: the same signed-multiply operand sweep through
 //!
-//! 1. the prepared fast path with every knob off (the production setting),
-//! 2. the stats interpreter (`RuntimeBuilder::stats(true)` — per-opcode and
-//!    per-label cycle attribution),
-//! 3. the stats interpreter under an armed `telemetry::span::trace` scope
-//!    (one `execute` span recorded per run).
+//! 1. the simulator's bare loop, every knob off (the production setting),
+//! 2. its instrumented loop collecting stats (`RuntimeBuilder::stats(true)`
+//!    — per-opcode and per-label cycle attribution),
+//! 3. the same under an armed `telemetry::span::trace` scope (one `execute`
+//!    span recorded per run).
 //!
 //! ```sh
 //! cargo run --release --example observability_overhead
@@ -75,11 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("{OPS} signed multiplies per configuration (best of 3):");
     println!(
-        "  stats-off (prepared fast path)   {:>8.0} ns/op",
+        "  stats-off (bare loop)            {:>8.0} ns/op",
         per_op(fast)
     );
     println!(
-        "  stats-on  (SimStats interpreter) {:>8.0} ns/op  ({:.1}x stats-off)",
+        "  stats-on  (instrumented loop)    {:>8.0} ns/op  ({:.1}x stats-off)",
         per_op(stats),
         per_op(stats) / per_op(fast)
     );

@@ -4,14 +4,14 @@
 //! dividend range — plus the three semantic edges (`i32::MIN / -1`, the
 //! divide-by-zero `BREAK`, overflow at the top of the multiply range),
 //! each pinned across all three execution paths: one-shot interpreter,
-//! pre-decoded prepared program, and batch.
+//! the compiled routine's prepared program, and batch.
 
 use hppa_muldiv::divconst::{compile_div_const, DivCodegenConfig};
 use hppa_muldiv::{millicode, telemetry, Compiler, Error, Runtime, Signedness};
 use millicode::divvar::DIV_ZERO_BREAK;
 use oracle::reference;
 use pa_isa::Reg;
-use pa_sim::{execute_prepared, run_fn, ExecConfig, Machine, Termination, TrapKind};
+use pa_sim::{run_fn, ExecConfig, Machine, Termination, TrapKind};
 
 fn boundary_dividends(y: u64) -> Vec<u32> {
     let mut xs = vec![0u32, 1, 2, y as u32 / 2, u32::MAX, u32::MAX - 1];
@@ -106,9 +106,9 @@ fn min_over_minus_one_wraps_on_every_path() {
     let op = c.sdiv_const(-1).unwrap();
     assert_eq!(op.run_i32(i32::MIN).unwrap(), i32::MIN);
 
-    // Prepared fast path, bit-for-bit.
+    // Prepared program, bit-for-bit.
     let mut m = Machine::with_regs(&[(Reg::R26, i32::MIN as u32)]);
-    let r = execute_prepared(op.prepared(), &mut m);
+    let r = op.prepared().run(&mut m);
     assert!(r.termination.is_completed(), "{:?}", r.termination);
     assert_eq!(m.reg(Reg::R28), i32::MIN as u32);
 
@@ -181,7 +181,7 @@ fn umax_multiply_overflow_on_every_path() {
     let op = c.mul_const(3).unwrap();
     assert_eq!(op.run_i32(x).unwrap(), expect);
     let mut m = Machine::with_regs(&[(Reg::R26, x as u32)]);
-    let r = execute_prepared(op.prepared(), &mut m);
+    let r = op.prepared().run(&mut m);
     assert!(r.termination.is_completed());
     assert_eq!(m.reg(Reg::R28), expect as u32);
     assert_eq!(op.run_batch_i32(&[x]).unwrap().values, vec![expect]);
@@ -196,7 +196,7 @@ fn umax_multiply_overflow_on_every_path() {
             Error::Trapped(TrapKind::Overflow)
         );
         let mut m = Machine::with_regs(&[(Reg::R26, big as u32)]);
-        let r = execute_prepared(checked.prepared(), &mut m);
+        let r = checked.prepared().run(&mut m);
         match r.termination {
             Termination::Trapped(t) => assert_eq!(t.kind, TrapKind::Overflow),
             other => panic!("checked {n}*{big} terminated {other:?}, expected overflow"),
@@ -220,9 +220,7 @@ fn umax_multiply_overflow_on_every_path() {
     for x in xs {
         assert_eq!(zero.run_i32(x).ok(), reference::mul_checked_chain(x, 0));
         let mut m = Machine::with_regs(&[(Reg::R26, x as u32)]);
-        assert!(execute_prepared(zero.prepared(), &mut m)
-            .termination
-            .is_completed());
+        assert!(zero.prepared().run(&mut m).termination.is_completed());
         assert_eq!(m.reg(Reg::R28), 0);
     }
     assert_eq!(zero.run_batch_i32(&xs).unwrap().values, vec![0; xs.len()]);
@@ -252,9 +250,9 @@ fn min_rem_minus_one_is_zero_on_every_path() {
         assert_eq!(op.run_i32(x).unwrap(), r, "{x} % -1");
     }
 
-    // Prepared fast path, bit-for-bit.
+    // Prepared program, bit-for-bit.
     let mut m = Machine::with_regs(&[(Reg::R26, i32::MIN as u32)]);
-    let r = execute_prepared(op.prepared(), &mut m);
+    let r = op.prepared().run(&mut m);
     assert!(r.termination.is_completed(), "{:?}", r.termination);
     assert_eq!(m.reg(Reg::R28), 0);
 

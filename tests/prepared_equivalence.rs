@@ -1,53 +1,62 @@
-//! The tentpole acceptance suite: `execute_prepared` must be bit-identical
-//! to the interpreter across the full E0–E14 program set — every millicode
-//! routine and every compiled constant operation — on representative and
-//! randomized operands. "Bit-identical" means the final machine state and
-//! all run counters (cycles, executed, nullified, taken branches) and the
-//! termination agree exactly.
+//! The run loop's two instantiations must agree across the full E0–E14
+//! program set — every millicode routine and every compiled constant
+//! operation — on representative and randomized operands, under both
+//! overflow models. A bare `PreparedProgram::run` (the uninstrumented loop
+//! every production run takes) is compared with an observed `run_fn` (stats,
+//! trace and profile on: the instrumented loop). "Bit-identical" means the
+//! final machine state and all run counters (cycles, executed, nullified,
+//! taken branches) and the termination agree exactly; the observed run's
+//! stats, trace and profile must also account for every slot.
 //!
-//! Path equivalence alone would let both paths be identically *wrong*, so
-//! each completed run is additionally anchored to `oracle::reference` —
-//! the independent bit-serial multiplier and restoring divider.
+//! Equivalence alone would let both runs be identically *wrong*, so each
+//! completed run is additionally anchored to `oracle::reference` — the
+//! independent bit-serial multiplier and restoring divider.
 
 use hppa_muldiv::{millicode, Compiler, DISPATCH_LIMIT};
 use oracle::reference;
 use pa_isa::{Program, Reg};
-use pa_sim::{execute_prepared, run_fn, ExecConfig, Machine, PreparedProgram, RunResult};
+use pa_sim::{run_fn, ExecConfig, Machine, OverflowModel, PreparedProgram, RunResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs `p` both ways with `R26 = a`, `R25 = b`, demands exact equality,
-/// and hands back the (shared) final state for semantic checks.
-fn assert_bit_identical(
-    name: &str,
-    p: &Program,
-    prepared: &PreparedProgram,
-    a: u32,
-    b: u32,
-) -> (Machine, RunResult) {
+/// Runs `p` bare and observed with `R26 = a`, `R25 = b` under each overflow
+/// model, demands exact equality, and hands back the default model's final
+/// state for semantic checks.
+fn assert_bit_identical(name: &str, p: &Program, a: u32, b: u32) -> (Machine, RunResult) {
     let inputs = [(Reg::R26, a), (Reg::R25, b)];
-    let (m_interp, r_interp) = run_fn(p, &inputs, &ExecConfig::default());
-    let mut m_fast = Machine::with_regs(&inputs);
-    let r_fast = execute_prepared(prepared, &mut m_fast);
-    assert_eq!(m_interp, m_fast, "{name}({a}, {b}): machine state");
-    assert_eq!(r_interp.cycles, r_fast.cycles, "{name}({a}, {b}): cycles");
-    assert_eq!(
-        r_interp.executed, r_fast.executed,
-        "{name}({a}, {b}): executed"
-    );
-    assert_eq!(
-        r_interp.nullified, r_fast.nullified,
-        "{name}({a}, {b}): nullified"
-    );
-    assert_eq!(
-        r_interp.taken_branches, r_fast.taken_branches,
-        "{name}({a}, {b}): taken branches"
-    );
-    assert_eq!(
-        r_interp.termination, r_fast.termination,
-        "{name}({a}, {b}): termination"
-    );
-    (m_interp, r_interp)
+    let mut anchored = None;
+    for overflow in [OverflowModel::CheapCircuit, OverflowModel::Precise] {
+        let config = ExecConfig {
+            overflow,
+            ..ExecConfig::default()
+        };
+        let observed = config.clone().with_stats().with_trace().with_profile();
+        let (m_obs, r_obs) = run_fn(p, &inputs, &observed);
+        let mut m_bare = Machine::with_regs(&inputs);
+        let r_bare = PreparedProgram::new(p, config).run(&mut m_bare);
+        let what = format!("{name}({a}, {b}) under {overflow:?}");
+        assert_eq!(m_obs, m_bare, "{what}: machine state");
+        assert_eq!(r_obs.cycles, r_bare.cycles, "{what}: cycles");
+        assert_eq!(r_obs.executed, r_bare.executed, "{what}: executed");
+        assert_eq!(r_obs.nullified, r_bare.nullified, "{what}: nullified");
+        assert_eq!(
+            r_obs.taken_branches, r_bare.taken_branches,
+            "{what}: taken branches"
+        );
+        assert_eq!(r_obs.termination, r_bare.termination, "{what}: termination");
+        let stats = r_obs.stats.as_deref().expect("stats were on");
+        assert_eq!(stats.executed_total(), r_obs.executed, "{what}: stats");
+        assert_eq!(r_obs.trace.len() as u64, r_obs.cycles, "{what}: trace");
+        assert_eq!(
+            r_obs.profile.iter().sum::<u64>(),
+            r_obs.executed,
+            "{what}: profile"
+        );
+        if overflow == OverflowModel::default() {
+            anchored = Some((m_bare, r_bare));
+        }
+    }
+    anchored.expect("the default overflow model is one of the two")
 }
 
 /// Representative corners plus seeded random operands.
@@ -90,9 +99,8 @@ fn every_multiply_routine_is_bit_identical() {
         ),
     ];
     for (name, p) in &routines {
-        let prepared = PreparedProgram::new(p, ExecConfig::default());
         for (a, b) in operand_pairs(0xE0, 40) {
-            let (m, r) = assert_bit_identical(name, p, &prepared, a, b);
+            let (m, r) = assert_bit_identical(name, p, a, b);
             // Signed and unsigned products share their low word, so one
             // oracle model anchors every multiply flavour.
             assert!(r.termination.is_completed(), "{name}({a}, {b})");
@@ -136,9 +144,8 @@ fn every_divide_routine_is_bit_identical() {
     ];
     let mut rng = StdRng::seed_from_u64(0xE13);
     for (name, p, oracle) in &routines {
-        let prepared = PreparedProgram::new(p, ExecConfig::default());
         let check = |a: u32, y: u32| {
-            let (m, r) = assert_bit_identical(name, p, &prepared, a, y);
+            let (m, r) = assert_bit_identical(name, p, a, y);
             assert!(r.termination.is_completed(), "{name}({a}, {y})");
             let (q, rem) = oracle(a, y);
             assert_eq!(m.reg(Reg::R28), q, "{name}({a}, {y}) quotient vs oracle");
@@ -155,7 +162,7 @@ fn every_divide_routine_is_bit_identical() {
         }
         // Division by zero BREAKs identically too (no quotient to check —
         // the oracle returns None for a zero divisor).
-        let (_, r) = assert_bit_identical(name, p, &prepared, 1000, 0);
+        let (_, r) = assert_bit_identical(name, p, 1000, 0);
         assert!(!r.termination.is_completed(), "{name}(1000, 0) must BREAK");
     }
 }
@@ -216,9 +223,8 @@ fn every_compiled_constant_op_is_bit_identical() {
     }
 
     for (name, op, expect) in &ops {
-        let prepared = op.prepared();
         for &x in &xs {
-            let (m, r) = assert_bit_identical(name, op.program(), prepared, x, 0);
+            let (m, r) = assert_bit_identical(name, op.program(), x, 0);
             match expect(x) {
                 Some(v) => {
                     assert!(r.termination.is_completed(), "{name}({x})");
