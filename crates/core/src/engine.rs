@@ -2,11 +2,14 @@
 //! routines and the sharded compile cache.
 //!
 //! [`ParallelExecutor`] partitions a batch into contiguous chunks, one per
-//! worker thread. Each worker owns its own [`pa_sim::Machine`] (via a
-//! private [`Session`]) and shares the runtime's prepared routines and the
-//! compiler's sharded cache by `Arc`, so the expensive work — chain search,
-//! magic derivation, preparation — is paid once process-wide no matter
-//! how many threads run.
+//! logical worker, and runs those chunks on only as many threads as the
+//! batch repays: one per `MIN_OPS_PER_THREAD` items, at most one per chunk.
+//! The calling thread runs the first group of chunks itself, so a small
+//! batch spawns nothing. Each chunk runs on its own [`pa_sim::Machine`]
+//! (via a private [`Session`]) and shares the runtime's prepared routines
+//! and the compiler's sharded cache by `Arc`, so the expensive work — chain
+//! search, magic derivation, preparation — is paid once process-wide no
+//! matter how many threads run.
 //!
 //! # Determinism
 //!
@@ -15,9 +18,10 @@
 //!
 //! * chunks are contiguous and merged back in chunk order, so `values`,
 //!   `rems` and the summed `cycles` equal a serial run exactly;
-//! * every worker's telemetry events are captured and re-emitted on the
-//!   calling thread in chunk order, so strategy histograms are identical
-//!   to serial no matter how the OS schedules the workers;
+//! * when the caller collects telemetry, every chunk's events are captured
+//!   and re-emitted on the calling thread in chunk order, so strategy
+//!   histograms are identical to serial no matter which thread ran which
+//!   chunk or how the OS scheduled them;
 //! * on failure, the error reported is the one the serial run would have
 //!   hit first: chunks partition the input in order, so the lowest-index
 //!   failing chunk contains the globally first failing pair, and within a
@@ -36,8 +40,15 @@ use crate::runtime::Routines;
 use crate::session::{BatchOutcome, Session};
 use crate::{Error, Result};
 
+/// The fewest items a spawned thread must take to repay its spawn and
+/// join: 28–43 µs for one scoped thread on a two-vCPU x86-64 host, against
+/// 34–46 ns per compiled constant multiply (the cheapest operation), so a
+/// thread breaks even near 600–1,300 items when the second vCPU is free.
+/// 4,096 leaves margin for when it is not; docs/PARALLEL.md has the numbers.
+const MIN_OPS_PER_THREAD: usize = 4096;
+
 /// A worker-pool batch executor sharing one runtime's routines and one
-/// sharded compile cache across `workers` threads.
+/// sharded compile cache across `workers` logical workers.
 ///
 /// Obtain one from [`Runtime::engine`](crate::Runtime::engine); configure
 /// the pool with [`RuntimeBuilder::workers`](crate::RuntimeBuilder::workers)
@@ -89,7 +100,9 @@ impl ParallelExecutor {
         }
     }
 
-    /// Worker threads batches are partitioned across.
+    /// Logical workers batches are partitioned across, one contiguous
+    /// chunk each. A batch runs on at most this many threads, and on fewer
+    /// when it is too small to repay a thread's spawn.
     #[must_use]
     pub fn workers(&self) -> NonZeroUsize {
         self.workers
@@ -191,50 +204,59 @@ impl ParallelExecutor {
         })
     }
 
-    /// Runs one contiguous chunk with panic isolation. The whole chunk —
+    /// Runs chunk `index`, which is logical worker `index`, with panic
+    /// isolation, on whichever thread the placement gave it. The chunk —
     /// including the armed worker-kill check — executes inside
-    /// `catch_unwind` inside `telemetry::collect`, so a panicking worker
-    /// surfaces as [`Error::WorkerPanicked`] with every event it emitted
-    /// before dying preserved; nothing unwinds across the pool. In this
-    /// engine chunks are assigned one per worker in order, so the worker
-    /// index and the chunk index are the same number.
+    /// `catch_unwind`, so a panicking worker surfaces as
+    /// [`Error::WorkerPanicked`] and nothing unwinds across the pool. When
+    /// the caller is `collecting`, it also runs inside `telemetry::collect`,
+    /// and every event it emitted before finishing or dying comes back for
+    /// the caller to re-emit in chunk order; otherwise nothing is captured.
     fn run_chunk<P, T, F>(
+        &self,
         run: &F,
-        routines: Arc<Routines>,
         chunk: &[P],
         index: usize,
+        collecting: bool,
     ) -> (Vec<telemetry::Event>, Result<BatchOutcome<T>>)
     where
-        P: Sync,
-        T: Send,
-        F: Fn(Arc<Routines>, &[P]) -> Result<BatchOutcome<T>> + Sync,
+        F: Fn(Arc<Routines>, &[P]) -> Result<BatchOutcome<T>>,
     {
-        let plan = routines.exec.fault_plan.clone();
-        let (caught, events) = telemetry::collect(|| {
+        let kill = self
+            .routines
+            .exec
+            .fault_plan
+            .as_ref()
+            .is_some_and(|plan| plan.kills_worker(index));
+        let isolated = || {
             catch_unwind(AssertUnwindSafe(|| {
-                if let Some(plan) = &plan {
-                    if plan.kills_worker(index) {
-                        telemetry::emit(|| telemetry::Event::FaultInjected {
-                            kind: "worker-kill",
-                            target: format!("worker {index}"),
-                            at: index as u64,
-                        });
-                        panic!("chaos: injected worker kill (worker {index})");
-                    }
+                if kill {
+                    telemetry::emit(|| telemetry::Event::FaultInjected {
+                        kind: "worker-kill",
+                        target: format!("worker {index}"),
+                        at: index as u64,
+                    });
+                    panic!("chaos: injected worker kill (worker {index})");
                 }
-                run(routines, chunk)
+                run(Arc::clone(&self.routines), chunk)
             }))
-        });
-        let result = caught.unwrap_or(Err(Error::WorkerPanicked {
-            worker: index,
-            chunk: index,
-        }));
-        (events, result)
+            .unwrap_or(Err(Error::WorkerPanicked {
+                worker: index,
+                chunk: index,
+            }))
+        };
+        if collecting {
+            let (result, events) = telemetry::collect(isolated);
+            (events, result)
+        } else {
+            (Vec::new(), isolated())
+        }
     }
 
-    /// The partition/execute/merge core. `run` executes one contiguous
-    /// chunk and must be pure per chunk (every closure we pass resets its
-    /// machine per call), which is what makes the merge deterministic.
+    /// The partition/place/execute/merge core. `run` executes one
+    /// contiguous chunk and must be pure per chunk (every closure we pass
+    /// resets its machine per call), which is what makes the merge
+    /// deterministic whichever thread runs a chunk.
     fn fan_out<P, T, F>(&self, label: &'static str, items: &[P], run: F) -> Result<BatchOutcome<T>>
     where
         P: Sync,
@@ -244,70 +266,53 @@ impl ParallelExecutor {
         let mut span = telemetry::span::enter_with(label, || {
             format!("{} ops / {} workers", items.len(), self.workers)
         });
-        if items.is_empty() || self.workers.get() == 1 {
-            // Inline, but through the same isolation as the pooled path: a
-            // worker-kill drill aimed at worker 0 — and any other panic —
-            // must surface as a typed error even when the pool is one
-            // thread wide. Events are collected and re-emitted in order,
-            // which is exactly the stream a serial batch produces.
-            let (events, result) =
-                ParallelExecutor::run_chunk(&run, Arc::clone(&self.routines), items, 0);
-            for event in events {
-                telemetry::emit(move || event);
+        // The logical partition fixes every result, the event order and
+        // the worker-kill targets. An empty batch is one empty chunk, so a
+        // kill aimed at worker 0 fires at every width.
+        let chunks: Vec<&[P]> = match items.len().div_ceil(self.workers.get()) {
+            0 => vec![items],
+            chunk_len => items.chunks(chunk_len).collect(),
+        };
+        // The placement: each thread runs a contiguous group of chunks, and
+        // a thread exists only where it has MIN_OPS_PER_THREAD items to
+        // repay its spawn. The calling thread runs the first group.
+        let threads = (items.len() / MIN_OPS_PER_THREAD).clamp(1, chunks.len());
+        let group = |g: usize| g * chunks.len() / threads..(g + 1) * chunks.len() / threads;
+        let collecting = telemetry::is_collecting();
+        let run_group = |g: usize| -> Vec<_> {
+            group(g)
+                .map(|index| self.run_chunk(&run, chunks[index], index, collecting))
+                .collect()
+        };
+        let runs = std::thread::scope(|scope| {
+            let run_group = &run_group;
+            let spawned: Vec<_> = (1..threads)
+                .map(|g| (g, scope.spawn(move || run_group(g))))
+                .collect();
+            let mut runs = run_group(0);
+            for (g, handle) in spawned {
+                // Belt and braces: `run_chunk` already contains panics, so
+                // a failed join can only mean a panic outside it. Surface
+                // that as the same typed error on the group's first chunk,
+                // never a torn batch.
+                runs.extend(handle.join().unwrap_or_else(|_| {
+                    let index = group(g).start;
+                    vec![(
+                        Vec::new(),
+                        Err(Error::WorkerPanicked {
+                            worker: index,
+                            chunk: index,
+                        }),
+                    )]
+                }));
             }
-            let out = result?;
-            span.add_cycles(out.cycles);
-            return Ok(out);
-        }
-
-        let chunk_len = items.len().div_ceil(self.workers.get());
-        let chunks: Vec<(Vec<telemetry::Event>, Result<BatchOutcome<T>>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = items
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(index, chunk)| {
-                        let run = &run;
-                        let routines = Arc::clone(&self.routines);
-                        scope.spawn(move || {
-                            let mut worker_span =
-                                telemetry::span::enter_with("engine_worker", || {
-                                    format!("worker {index}: {} ops", chunk.len())
-                                });
-                            let (events, result) =
-                                ParallelExecutor::run_chunk(run, routines, chunk, index);
-                            if let Ok(out) = &result {
-                                worker_span.add_cycles(out.cycles);
-                            }
-                            (events, result)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(index, h)| {
-                        // Belt and braces: `run_chunk` already contains
-                        // panics, so a failed join can only mean a panic
-                        // outside it (say, in span bookkeeping). Surface
-                        // that as the same typed error, never a torn batch.
-                        h.join().unwrap_or_else(|_| {
-                            (
-                                Vec::new(),
-                                Err(Error::WorkerPanicked {
-                                    worker: index,
-                                    chunk: index,
-                                }),
-                            )
-                        })
-                    })
-                    .collect()
-            });
+            runs
+        });
 
         let mut values = Vec::with_capacity(items.len());
         let mut rems: Option<Vec<T>> = None;
         let mut cycles = 0u64;
-        for (events, result) in chunks {
+        for (events, result) in runs {
             // Re-emit this chunk's events on the calling thread before
             // surfacing its error, mirroring a serial run that emits for
             // every pair up to the first failure.
@@ -358,33 +363,42 @@ mod tests {
         assert_send_sync::<ParallelExecutor>();
     }
 
+    /// Batch lengths covering both placements: one that every width runs
+    /// on the calling thread, and one long enough that two or more workers
+    /// split it across threads.
+    const LENGTHS: [u32; 2] = [53, 2 * MIN_OPS_PER_THREAD as u32 + 53];
+
     #[test]
     fn parallel_batches_match_serial_for_every_worker_count() {
-        let pairs: Vec<(i32, i32)> = (0..53).map(|i| (i * 7919 - 1000, 3 - i * 101)).collect();
-        let div_pairs: Vec<(u32, u32)> = (0..53)
-            .map(|i| (u32::MAX - i * 1_000_003, 1 + i % 25))
-            .collect();
-        let serial_rt = runtime();
-        let mul_serial = serial_rt.mul_batch(&pairs).unwrap();
-        let dispatch_serial = serial_rt.div_dispatch_batch(&div_pairs).unwrap();
-        let udiv_serial = serial_rt.session().div_unsigned_batch(&div_pairs).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let engine = engine_with(workers);
-            assert_eq!(
-                engine.mul_batch(&pairs).unwrap(),
-                mul_serial,
-                "{workers} workers"
-            );
-            assert_eq!(
-                engine.div_dispatch_batch(&div_pairs).unwrap(),
-                dispatch_serial,
-                "{workers} workers"
-            );
-            assert_eq!(
-                engine.div_unsigned_batch(&div_pairs).unwrap(),
-                udiv_serial,
-                "{workers} workers"
-            );
+        for len in LENGTHS {
+            let pairs: Vec<(i32, i32)> = (0..len as i32)
+                .map(|i| (i * 7919 - 1000, 3 - i * 101))
+                .collect();
+            let div_pairs: Vec<(u32, u32)> = (0..len)
+                .map(|i| (u32::MAX.wrapping_sub(i.wrapping_mul(1_000_003)), 1 + i % 25))
+                .collect();
+            let serial_rt = runtime();
+            let mul_serial = serial_rt.mul_batch(&pairs).unwrap();
+            let dispatch_serial = serial_rt.div_dispatch_batch(&div_pairs).unwrap();
+            let udiv_serial = serial_rt.session().div_unsigned_batch(&div_pairs).unwrap();
+            for workers in [1, 2, 4, 8] {
+                let engine = engine_with(workers);
+                assert_eq!(
+                    engine.mul_batch(&pairs).unwrap(),
+                    mul_serial,
+                    "{len} pairs, {workers} workers"
+                );
+                assert_eq!(
+                    engine.div_dispatch_batch(&div_pairs).unwrap(),
+                    dispatch_serial,
+                    "{len} pairs, {workers} workers"
+                );
+                assert_eq!(
+                    engine.div_unsigned_batch(&div_pairs).unwrap(),
+                    udiv_serial,
+                    "{len} pairs, {workers} workers"
+                );
+            }
         }
     }
 
@@ -435,15 +449,43 @@ mod tests {
 
     #[test]
     fn parallel_events_equal_serial_events_in_order() {
-        let pairs: Vec<(i32, i32)> = (0..37).map(|i| (i * 31, 5 - i)).collect();
-        let serial_rt = runtime();
-        let (_, serial_events) = telemetry::collect(|| serial_rt.mul_batch(&pairs).unwrap());
-        let engine = engine_with(4);
-        let (_, parallel_events) = telemetry::collect(|| engine.mul_batch(&pairs).unwrap());
+        for len in LENGTHS {
+            let pairs: Vec<(i32, i32)> = (0..len as i32).map(|i| (i * 31, 5 - i)).collect();
+            let (_, serial_events) = telemetry::collect(|| runtime().mul_batch(&pairs).unwrap());
+            for workers in [1, 2, 4, 8] {
+                let engine = engine_with(workers);
+                let (_, parallel_events) = telemetry::collect(|| engine.mul_batch(&pairs).unwrap());
+                assert_eq!(
+                    format!("{serial_events:?}"),
+                    format!("{parallel_events:?}"),
+                    "{len} pairs, {workers} workers: event streams must be identical, \
+                     not just histogram-equal"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threads_are_spawned_only_for_batches_that_repay_them() {
+        // Session batches open a `mul_batch` span per chunk, and only the
+        // calling thread has a trace scope, so the spans show which chunks
+        // ran there. At two workers a 30-pair batch is two chunks of 15,
+        // too small to repay a thread: the caller runs both. A batch of
+        // 2 × MIN_OPS_PER_THREAD pairs splits, and the caller runs its half.
+        let engine = engine_with(2);
+        let caller_chunks = |len: usize| -> Vec<String> {
+            let pairs: Vec<(i32, i32)> = (0..len as i32).map(|i| (i, 3 - i)).collect();
+            let (_, spans) = telemetry::span::trace(|| engine.mul_batch(&pairs).unwrap());
+            spans
+                .into_iter()
+                .filter(|s| s.name == "mul_batch")
+                .map(|s| s.label)
+                .collect()
+        };
+        assert_eq!(caller_chunks(30), ["15 pairs", "15 pairs"]);
         assert_eq!(
-            format!("{serial_events:?}"),
-            format!("{parallel_events:?}"),
-            "event streams must be identical, not just histogram-equal"
+            caller_chunks(2 * MIN_OPS_PER_THREAD),
+            [format!("{MIN_OPS_PER_THREAD} pairs")]
         );
     }
 }

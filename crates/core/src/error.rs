@@ -52,13 +52,14 @@ pub enum Error {
     /// A builder was given an invalid knob value (for example
     /// `RuntimeBuilder::workers(0)`); the message names the knob.
     InvalidConfig(&'static str),
-    /// An engine worker thread panicked mid-batch. The batch is abandoned
-    /// with this typed error — never a hung join or a torn, partially
-    /// merged result. In practice only an armed
-    /// [`FaultPlan`](pa_sim::FaultPlan) worker-kill drill produces this;
-    /// the isolation also contains any future real panic.
+    /// An engine worker panicked mid-batch. A worker is a logical one: the
+    /// engine's chunk of that index, whether it ran on a spawned thread or
+    /// on the calling thread. The batch is abandoned with this typed error
+    /// — never a hung join or a torn, partially merged result. In practice
+    /// only an armed [`FaultPlan`](pa_sim::FaultPlan) worker-kill drill
+    /// produces this; the isolation also contains any future real panic.
     WorkerPanicked {
-        /// Pool index of the worker that died (equal to `chunk` in this
+        /// Index of the logical worker that died (equal to `chunk` in this
         /// engine — batches are split into one contiguous chunk per
         /// worker, in order).
         worker: usize,

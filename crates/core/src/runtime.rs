@@ -97,9 +97,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Worker threads the [`ParallelExecutor`] from [`Runtime::engine`]
-    /// partitions batches across. Defaults to the host's available
-    /// parallelism. Zero is rejected by [`build`](RuntimeBuilder::build)
+    /// Logical workers the [`ParallelExecutor`] from [`Runtime::engine`]
+    /// partitions batches across; a batch runs on at most this many
+    /// threads. Defaults to the host's available parallelism. Zero is rejected by [`build`](RuntimeBuilder::build)
     /// with [`Error::InvalidConfig`].
     #[must_use]
     pub fn workers(mut self, workers: usize) -> RuntimeBuilder {
@@ -252,7 +252,7 @@ impl Runtime {
         self.routines.dispatch_limit
     }
 
-    /// Worker threads [`Runtime::engine`] will use.
+    /// Logical workers [`Runtime::engine`] will partition batches across.
     #[must_use]
     pub fn workers(&self) -> NonZeroUsize {
         self.workers

@@ -93,10 +93,11 @@ pub enum FaultPlan {
         /// Target shard index (clamped to the shard count by the cache).
         shard: usize,
     },
-    /// Panic worker `worker` of the parallel engine mid-batch. Ignored by
-    /// the simulator; the `hppa-muldiv` engine acts on it.
+    /// Panic logical worker `worker` of the parallel engine mid-batch: the
+    /// worker that runs chunk `worker`, on whichever thread runs it.
+    /// Ignored by the simulator; the `hppa-muldiv` engine acts on it.
     WorkerKill {
-        /// Target worker index; an index beyond the spawned workers never
+        /// Target worker index; an index with no chunk in the batch never
         /// fires (the batch completes normally).
         worker: usize,
     },

@@ -4,6 +4,7 @@
 //! not exact counts, and never the nanosecond timings.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use telemetry::json::{parse, Json};
 
@@ -54,7 +55,13 @@ const THROUGHPUT_KEYS: [&str; 8] = [
 const OPS: &str = "200";
 
 fn written_report() -> Json {
-    let path = std::env::temp_dir().join(format!("hppa_report_schema_{}.json", std::process::id()));
+    // Tests in this binary run in parallel, so each call writes its own file.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!(
+        "hppa_report_schema_{}_{call}.json",
+        std::process::id()
+    ));
     let out = Command::new(env!("CARGO_BIN_EXE_hppa"))
         .args(["report", "--ops", OPS, "-o", path.to_str().unwrap()])
         .output()
