@@ -394,8 +394,12 @@ impl CompilerBuilder {
         self
     }
 
-    /// Collect simulator statistics when compiled programs run (runs take
-    /// the simulator's instrumented loop).
+    /// Run compiled programs with simulator statistics on (runs take the
+    /// simulator's instrumented loop). The statistics are collected but not
+    /// returned by the façade's calls, which report values and cycles only;
+    /// a compiled op's statistics are reachable only by running
+    /// [`CompiledOp::prepared`] directly, whose
+    /// [`RunResult::stats`](pa_sim::RunResult::stats) carries them.
     #[must_use]
     pub fn stats(mut self, stats: bool) -> CompilerBuilder {
         self.stats = stats;

@@ -82,8 +82,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Collect simulator statistics on every call (runs take the
-    /// simulator's instrumented loop).
+    /// Run every routine with simulator statistics on (runs take the
+    /// simulator's instrumented loop). The statistics are collected but not
+    /// returned: runtime, session and engine calls report values and cycles
+    /// only, and drop each run's [`pa_sim::SimStats`].
     #[must_use]
     pub fn stats(mut self, stats: bool) -> RuntimeBuilder {
         self.stats = stats;

@@ -8,12 +8,13 @@
 //! armed fault plans.
 
 use core::fmt;
+use std::borrow::Cow;
 
 use pa_isa::{BitSense, Insn, Op, Program, Reg};
 
 use crate::fault::{FaultPlan, Intervention};
 use crate::overflow::{cheap_circuit_overflow, precise_overflow, OverflowModel};
-use crate::stats::{SimStats, StatsRecorder};
+use crate::stats::{RegionTable, SimStats, StatsRecorder};
 use crate::Machine;
 
 /// Execution configuration.
@@ -297,7 +298,7 @@ pub struct RunResult {
 /// # Ok::<(), pa_isa::IsaError>(())
 /// ```
 pub fn run(program: &Program, machine: &mut Machine, config: &ExecConfig) -> RunResult {
-    spanned(|| execute(program, machine, config))
+    spanned(|| execute(program, None, machine, config))
 }
 
 /// Runs `body` inside an `execute` span carrying its simulated cycles. The
@@ -314,33 +315,45 @@ pub(crate) fn spanned(body: impl FnOnce() -> RunResult) -> RunResult {
 /// [`PreparedProgram::run`](crate::PreparedProgram::run): an armed
 /// execution-affecting fault plan goes to [`crate::fault`], an observed run
 /// (stats, trace or profile) to the instrumented loop, and everything else
-/// to the bare loop.
-pub(crate) fn execute(program: &Program, machine: &mut Machine, config: &ExecConfig) -> RunResult {
+/// to the bare loop. `regions` is `program`'s stats region table when the
+/// caller has one cached.
+pub(crate) fn execute(
+    program: &Program,
+    regions: Option<&RegionTable>,
+    machine: &mut Machine,
+    config: &ExecConfig,
+) -> RunResult {
     if let Some(plan) = config.fault_plan.as_ref().filter(|p| p.affects_execution()) {
-        return crate::fault::run_with_plan(program, machine, config, plan);
+        return crate::fault::run_with_plan(program, regions, machine, config, plan);
     }
     if config.observes_slots() {
-        return run_probed(program, program.insns(), machine, config, None);
+        return run_probed(program, regions, program.insns(), machine, config, None);
     }
     run_loop(program.insns(), machine, config, &mut ())
 }
 
 /// Runs `code` through the instrumented loop: the probes `config` asks for
-/// (stats regions are labelled from `program`, whose length `code` shares)
-/// plus an optional armed fault intervention. Kept out of line so the bare
-/// loop's caller stays small.
+/// plus an optional armed fault intervention. Stats regions are labelled
+/// from `program`, whose length `code` shares: from `regions` when the
+/// caller has its table cached, else from a table built for this run. Kept
+/// out of line so the bare loop's caller stays small.
 #[inline(never)]
 pub(crate) fn run_probed(
     program: &Program,
+    regions: Option<&RegionTable>,
     code: &[Insn],
     machine: &mut Machine,
     config: &ExecConfig,
     intervention: Option<&mut Intervention<'_>>,
 ) -> RunResult {
+    debug_assert_eq!(code.len(), program.len());
+    let table = config
+        .stats
+        .then(|| regions.map_or_else(|| Cow::Owned(RegionTable::new(program)), Cow::Borrowed));
     let mut probes = Probes {
         trace: config.trace.then(Vec::new),
         profile: config.profile.then(|| vec![0; code.len()]),
-        stats: config.stats.then(|| StatsRecorder::new(program)),
+        stats: table.as_deref().map(StatsRecorder::new),
         intervention,
     };
     let mut result = run_loop(code, machine, config, &mut probes);
@@ -381,7 +394,7 @@ impl Probe for () {}
 struct Probes<'a, 'p> {
     trace: Option<Vec<TraceEntry>>,
     profile: Option<Vec<u64>>,
-    stats: Option<StatsRecorder>,
+    stats: Option<StatsRecorder<'a>>,
     intervention: Option<&'a mut Intervention<'p>>,
 }
 
@@ -1091,7 +1104,7 @@ mod tests {
         let p = stats_workload();
         let (_, r) = run_fn(&p, &[], &ExecConfig::default().with_stats());
         let stats = r.stats.as_deref().unwrap();
-        let labels: Vec<&str> = stats.regions.iter().map(|reg| reg.label.as_str()).collect();
+        let labels: Vec<&str> = stats.regions.iter().map(|reg| &*reg.label).collect();
         assert_eq!(labels, vec!["<entry>", "loop", "done"]);
         let entry = &stats.regions[0];
         assert_eq!((entry.cycles, entry.executed, entry.nullified), (2, 2, 0));
@@ -1115,12 +1128,12 @@ mod tests {
         let body = stats
             .regions
             .iter()
-            .find(|reg| reg.label == "loop")
+            .find(|reg| &*reg.label == "loop")
             .unwrap();
         assert_eq!(body.taken_branches, r.taken_branches);
         assert!(body.taken_branches <= body.executed);
         for region in &stats.regions {
-            if region.label != "loop" {
+            if &*region.label != "loop" {
                 assert_eq!(region.taken_branches, 0, "{}", region.label);
             }
         }

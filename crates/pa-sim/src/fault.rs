@@ -40,6 +40,7 @@ use core::fmt;
 use pa_isa::{BitSense, Im11, Im14, Im21, Im5, Op, Program, Reg, ShAmount, ShiftPos};
 
 use crate::exec::{run, run_probed, ExecConfig, RunResult, Termination, Trap, TrapKind};
+use crate::stats::RegionTable;
 use crate::Machine;
 
 /// `BREAK` code used by forced-trap drills when the caller does not pick
@@ -179,10 +180,12 @@ pub(crate) fn mix(seed: u64) -> u64 {
 /// Every armed run goes through the instrumented run loop, so its cycle
 /// accounting, stats, trace and profile are the plain run's. A run whose
 /// injection landed and that still completed is cross-checked against the
-/// pristine program. Kept out of line so the bare loop's caller stays small.
+/// pristine program. `regions` is the caller's cached stats region table,
+/// if any. Kept out of line so the bare loop's caller stays small.
 #[inline(never)]
 pub(crate) fn run_with_plan(
     program: &Program,
+    regions: Option<&RegionTable>,
     machine: &mut Machine,
     config: &ExecConfig,
     plan: &FaultPlan,
@@ -192,7 +195,7 @@ pub(crate) fn run_with_plan(
         let mut code = program.insns().to_vec();
         let Some(insn) = code.get_mut(slot) else {
             // Slot out of range: nothing to inject, run untouched.
-            return run_probed(program, program.insns(), machine, config, None);
+            return run_probed(program, regions, program.insns(), machine, config, None);
         };
         let (op, what) = corrupt_op(insn.op, mix(seed), program.len());
         insn.op = op;
@@ -201,13 +204,23 @@ pub(crate) fn run_with_plan(
             target: format!("slot {slot}: {what}"),
             at: slot as u64,
         });
-        (run_probed(program, &code, machine, config, None), true)
+        (
+            run_probed(program, regions, &code, machine, config, None),
+            true,
+        )
     } else {
         let mut armed = Intervention {
             plan,
             applied: false,
         };
-        let result = run_probed(program, program.insns(), machine, config, Some(&mut armed));
+        let result = run_probed(
+            program,
+            regions,
+            program.insns(),
+            machine,
+            config,
+            Some(&mut armed),
+        );
         (result, armed.applied)
     };
     if injected && result.termination.is_completed() {

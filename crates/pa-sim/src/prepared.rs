@@ -8,7 +8,9 @@
 //! ownership: the program sits behind an [`Arc`] with its configuration, so
 //! a cached routine is cloned to worker threads for a reference-count bump,
 //! and a bare run (no stats, trace, profile or fault plan) records no
-//! `execute` span.
+//! `execute` span. A program prepared with stats on also keeps its stats
+//! region table (which region each instruction belongs to, and the labels)
+//! behind an `Arc`, built once here, so each observed run only counts.
 //!
 //! # Example
 //!
@@ -38,20 +40,24 @@ use std::sync::Arc;
 use pa_isa::Program;
 
 use crate::exec::{execute, spanned, ExecConfig, RunResult};
+use crate::stats::RegionTable;
 use crate::Machine;
 
 /// A program bundled with the execution configuration (overflow model,
 /// watchdog, instrumentation switches, fault plan) it runs under.
 ///
 /// Construct with [`PreparedProgram::new`], execute with
-/// [`PreparedProgram::run`]. The source [`Program`] sits behind an [`Arc`],
-/// so cloning a prepared program is a reference-count bump plus a copy of
-/// the configuration: `PreparedProgram` is `Send + Sync` and clones can be
-/// handed to worker threads without copying code.
+/// [`PreparedProgram::run`]. The source [`Program`] (and, with stats on,
+/// its stats region table) sits behind an [`Arc`], so cloning a prepared
+/// program is a reference-count bump plus a copy of the configuration:
+/// `PreparedProgram` is `Send + Sync` and clones can be handed to worker
+/// threads without copying code.
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     program: Arc<Program>,
     config: ExecConfig,
+    /// The stats region table, present when `config.stats` is on.
+    regions: Option<Arc<RegionTable>>,
 }
 
 impl PreparedProgram {
@@ -62,6 +68,7 @@ impl PreparedProgram {
             telemetry::span::enter_with("prepare", || format!("{} instructions", program.len()));
         PreparedProgram {
             program: Arc::new(program.clone()),
+            regions: config.stats.then(|| Arc::new(RegionTable::new(program))),
             config,
         }
     }
@@ -100,9 +107,16 @@ impl PreparedProgram {
     /// production path stays free of span bookkeeping.
     pub fn run(&self, machine: &mut Machine) -> RunResult {
         if self.config.observes_slots() {
-            return spanned(|| execute(&self.program, machine, &self.config));
+            return spanned(|| {
+                execute(
+                    &self.program,
+                    self.regions.as_deref(),
+                    machine,
+                    &self.config,
+                )
+            });
         }
-        execute(&self.program, machine, &self.config)
+        execute(&self.program, None, machine, &self.config)
     }
 }
 
@@ -145,6 +159,36 @@ mod tests {
             m.reg(Reg::R28)
         });
         assert_eq!(handle.join().unwrap(), 35);
+    }
+
+    #[test]
+    fn stats_prepared_clones_share_one_region_table() {
+        let mut b = ProgramBuilder::new();
+        b.ldi(3, Reg::R1);
+        let top = b.here("top");
+        b.addib(-1, Reg::R1, Cond::Ne, top);
+        let p = b.build().unwrap();
+        assert!(PreparedProgram::new(&p, ExecConfig::default())
+            .regions
+            .is_none());
+
+        let prepared = PreparedProgram::new(&p, ExecConfig::default().with_stats());
+        let clone = prepared.clone();
+        let table = prepared.regions.as_ref().expect("stats on");
+        assert!(Arc::ptr_eq(table, clone.regions.as_ref().unwrap()));
+        let here = prepared.run(&mut Machine::new());
+        let there = std::thread::spawn(move || clone.run(&mut Machine::new()))
+            .join()
+            .unwrap();
+        assert_eq!(here, there);
+        let stats = here.stats.as_deref().unwrap();
+        let labels: Vec<&str> = stats.regions.iter().map(|r| &*r.label).collect();
+        assert_eq!(labels, ["<entry>", "top"]);
+        // A run's labels are the table's text, not copies of it.
+        let there_stats = there.stats.as_deref().unwrap();
+        for (mine, theirs) in stats.regions.iter().zip(&there_stats.regions) {
+            assert!(Arc::ptr_eq(&mine.label, &theirs.label));
+        }
     }
 
     #[test]

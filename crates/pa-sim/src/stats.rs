@@ -1,12 +1,26 @@
-//! Always-cheap run statistics: per-opcode histograms and per-label cycle
-//! attribution.
+//! Run statistics: per-opcode histograms and per-label cycle attribution.
 //!
 //! Collection is opt-in via [`ExecConfig::stats`](crate::ExecConfig); when it
 //! (and trace and profile) is off a run takes the bare instantiation of the
 //! run loop, which has no per-slot instrumentation code and allocates
 //! nothing, and cycle counts are bit-identical either way.
+//!
+//! Collection has two halves. The per-program half is a region table: the
+//! region of every instruction and the region labels. A
+//! [`PreparedProgram`](crate::PreparedProgram) prepared with stats on
+//! builds it once, and every run of it or of its clones, on any thread and
+//! under any armed fault plan, shares it; [`run`](crate::run) builds one
+//! per run. The per-run half borrows the table and counts: the opcode
+//! histograms, one counter row per region, and at the end one
+//! [`RegionCycles`] per region entered, whose label shares its text with
+//! the table. So a stats-on run of a prepared program does no work per
+//! instruction of the program and copies no label text; beyond its slots
+//! it pays three allocations (the boxed [`SimStats`], the counter rows and
+//! the region list), a pass over the counter rows and a reference-count
+//! increment per entered region's label.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pa_isa::{Program, OPCODE_COUNT, OPCODE_NAMES};
 
@@ -19,8 +33,9 @@ use pa_isa::{Program, OPCODE_COUNT, OPCODE_NAMES};
 /// vs. nibble loop vs. correction tail) directly from a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionCycles {
-    /// The label opening the region (`"<entry>"` for the unlabelled prefix).
-    pub label: String,
+    /// The label opening the region (`"<entry>"` for the unlabelled prefix),
+    /// shared with every other run of the same program.
+    pub label: Arc<str>,
     /// Cycles spent in the region (executed + nullified slots).
     pub cycles: u64,
     /// Instructions executed in the region.
@@ -126,68 +141,78 @@ impl SimStats {
     }
 }
 
-/// The in-loop collector: owns the stats being built plus the `pc → region`
-/// map precomputed from the program's label table. The stats are boxed from
-/// the start, so moving the recorder and returning the result copies no
-/// histograms.
-#[derive(Debug)]
-pub(crate) struct StatsRecorder {
-    stats: Box<SimStats>,
-    region_of: Vec<u32>,
-    region_scratch: Vec<RegionCycles>,
+/// The per-program half of statistics collection: the region each
+/// instruction belongs to, and the region labels, `"<entry>"` first. It
+/// depends only on the program, so a [`PreparedProgram`] builds it once and
+/// shares it behind an `Arc`; [`run`](crate::run), which has no prepared
+/// program, builds one per run.
+///
+/// [`PreparedProgram`]: crate::PreparedProgram
+#[derive(Debug, Clone)]
+pub(crate) struct RegionTable {
+    /// Index into `labels` for every instruction.
+    region_of: Box<[u32]>,
+    labels: Box<[Arc<str>]>,
 }
 
-impl StatsRecorder {
-    pub(crate) fn new(program: &Program) -> StatsRecorder {
+impl RegionTable {
+    pub(crate) fn new(program: &Program) -> RegionTable {
         let len = program.len();
-        let labels: Vec<(usize, &str)> = program.names().filter(|&(idx, _)| idx < len).collect();
-        let mut regions = Vec::with_capacity(labels.len() + 1);
-        regions.push(RegionCycles {
-            label: "<entry>".to_string(),
-            cycles: 0,
-            executed: 0,
-            nullified: 0,
-            taken_branches: 0,
-        });
-        let mut region_of = vec![0u32; len];
-        let mut next_label = 0usize;
-        let mut current = 0u32;
-        for (pc, slot) in region_of.iter_mut().enumerate() {
-            while next_label < labels.len() && labels[next_label].0 == pc {
-                regions.push(RegionCycles {
-                    label: labels[next_label].1.to_string(),
-                    cycles: 0,
-                    executed: 0,
-                    nullified: 0,
-                    taken_branches: 0,
-                });
-                current = (regions.len() - 1) as u32;
-                next_label += 1;
-            }
-            *slot = current;
+        let mut labels: Vec<Arc<str>> = vec![Arc::from("<entry>")];
+        let mut region_of = Vec::with_capacity(len);
+        // Names come in index order, at most one per instruction; one at
+        // `len` labels the exit and opens no region.
+        for (start, name) in program.names().filter(|&(pc, _)| pc < len) {
+            region_of.resize(start, (labels.len() - 1) as u32);
+            labels.push(Arc::from(name));
         }
+        region_of.resize(len, (labels.len() - 1) as u32);
+        RegionTable {
+            region_of: region_of.into_boxed_slice(),
+            labels: labels.into_boxed_slice(),
+        }
+    }
+}
+
+/// One region's counters during a run (its cycles are `executed +
+/// nullified`).
+#[derive(Debug, Clone, Copy, Default)]
+struct RegionCounts {
+    executed: u64,
+    nullified: u64,
+    taken_branches: u64,
+}
+
+/// The in-loop collector: the stats being built, plus one counter row per
+/// region of the borrowed [`RegionTable`]. The stats are boxed from the
+/// start, so moving the recorder and returning the result copies no
+/// histograms.
+#[derive(Debug)]
+pub(crate) struct StatsRecorder<'t> {
+    table: &'t RegionTable,
+    stats: Box<SimStats>,
+    counts: Vec<RegionCounts>,
+}
+
+impl<'t> StatsRecorder<'t> {
+    pub(crate) fn new(table: &'t RegionTable) -> StatsRecorder<'t> {
         StatsRecorder {
+            table,
             stats: Box::new(SimStats::new()),
-            region_of,
-            region_scratch: regions,
+            counts: vec![RegionCounts::default(); table.labels.len()],
         }
     }
 
-    /// Accounts one fetched slot.
+    /// Accounts one fetched slot. `opcode_index` is the executed
+    /// instruction's, which a decode-corrupted slot changes.
     pub(crate) fn record(&mut self, opcode_index: usize, pc: usize, nullified: bool) {
+        let region = &mut self.counts[self.table.region_of[pc] as usize];
         if nullified {
             self.stats.nullified_by_op[opcode_index] += 1;
+            region.nullified += 1;
         } else {
             self.stats.executed_by_op[opcode_index] += 1;
-        }
-        if let Some(&rid) = self.region_of.get(pc) {
-            let region = &mut self.region_scratch[rid as usize];
-            region.cycles += 1;
-            if nullified {
-                region.nullified += 1;
-            } else {
-                region.executed += 1;
-            }
+            region.executed += 1;
         }
     }
 
@@ -195,9 +220,7 @@ impl StatsRecorder {
     /// branch instruction at `pc` (called after [`Self::record`] for the
     /// same slot, so the instruction is already in `executed`).
     pub(crate) fn record_branch(&mut self, pc: usize) {
-        if let Some(&rid) = self.region_of.get(pc) {
-            self.region_scratch[rid as usize].taken_branches += 1;
-        }
+        self.counts[self.table.region_of[pc] as usize].taken_branches += 1;
     }
 
     pub(crate) fn record_trap(&mut self) {
@@ -208,14 +231,24 @@ impl StatsRecorder {
         self.stats.faults += 1;
     }
 
-    /// Finalises: regions that never ran are dropped, the rest keep program
-    /// order.
+    /// Finalises: only the regions that ran are reported, in program
+    /// order, each sharing its label with the table.
     pub(crate) fn finish(mut self) -> Box<SimStats> {
-        self.stats.regions = self
-            .region_scratch
-            .into_iter()
-            .filter(|r| r.cycles > 0)
-            .collect();
+        let entered = self.counts.iter().filter(|c| c.executed + c.nullified > 0);
+        let mut regions = Vec::with_capacity(entered.count());
+        for (label, c) in self.table.labels.iter().zip(&self.counts) {
+            let cycles = c.executed + c.nullified;
+            if cycles > 0 {
+                regions.push(RegionCycles {
+                    label: Arc::clone(label),
+                    cycles,
+                    executed: c.executed,
+                    nullified: c.nullified,
+                    taken_branches: c.taken_branches,
+                });
+            }
+        }
+        self.stats.regions = regions;
         self.stats
     }
 }

@@ -4,7 +4,9 @@
 //! same final machine, same cycle, executed, nullified and taken-branch
 //! counts, same termination — under both overflow models, across randomized
 //! operands for programs covering every op class. The observed run's
-//! records must also account for every slot.
+//! records must also account for every slot, and an observed prepared run,
+//! which labels its stats from the region table built at preparation, must
+//! return exactly the observed reference run's result.
 
 use pa_isa::{BitSense, Cond, Program, ProgramBuilder, Reg, ShAmount};
 use pa_sim::{run_fn, ExecConfig, Machine, OverflowModel, PreparedProgram};
@@ -20,6 +22,10 @@ fn assert_equivalent(p: &Program, inputs: &[(Reg, u32)], config: &ExecConfig) {
         let r_bare = PreparedProgram::new(p, config.clone()).run(&mut m_bare);
         let observed = config.with_stats().with_trace().with_profile();
         let (m_obs, r_obs) = run_fn(p, inputs, &observed);
+        let mut m_prep = Machine::with_regs(inputs);
+        let r_prep = PreparedProgram::new(p, observed).run(&mut m_prep);
+        assert_eq!(m_prep, m_obs, "observed prepared machine state must match");
+        assert_eq!(r_prep, r_obs, "observed prepared result must match");
         assert_eq!(m_bare, m_obs, "machine state must match");
         assert_eq!(r_bare.cycles, r_obs.cycles);
         assert_eq!(r_bare.executed, r_obs.executed);

@@ -63,7 +63,7 @@ pub fn registry_from_workloads(workloads: &[WorkloadReport]) -> Registry {
             reg.inc_counter("hppa_strategy_total", &[("strategy", strategy)], *count);
         }
         for region in &w.regions {
-            let region_labels = [("workload", w.workload), ("label", region.label.as_str())];
+            let region_labels = [("workload", w.workload), ("label", &*region.label)];
             reg.inc_counter("hppa_region_cycles_total", &region_labels, region.cycles);
             reg.inc_counter(
                 "hppa_region_taken_branches_total",
@@ -93,7 +93,7 @@ pub fn registry_for_run(result: &pa_sim::RunResult) -> Registry {
         for region in &stats.regions {
             reg.inc_counter(
                 "pa_run_region_cycles_total",
-                &[("label", region.label.as_str())],
+                &[("label", &*region.label)],
                 region.cycles,
             );
         }

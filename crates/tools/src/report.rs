@@ -92,7 +92,7 @@ impl WorkloadReport {
                         .iter()
                         .map(|r| {
                             Json::object(vec![
-                                ("label".to_string(), Json::str(&r.label)),
+                                ("label".to_string(), Json::str(&*r.label)),
                                 ("cycles".to_string(), Json::uint(r.cycles)),
                                 ("executed".to_string(), Json::uint(r.executed)),
                                 ("nullified".to_string(), Json::uint(r.nullified)),

@@ -1,7 +1,10 @@
 //! The perf-regression sentinel behind `hppa bench --compare` (and `hppa
 //! report --compare`): diff a freshly generated benchmark document against a
 //! committed `BENCH_prN.json` baseline, per workload, against configurable
-//! thresholds, and report regressions for CI to fail on.
+//! thresholds, and report regressions for CI to fail on. Where the
+//! baseline's workload records carry `regions`, each labelled region's
+//! cycles are gated too, so cycles moved from one region to another fail
+//! even when the workload total holds.
 //!
 //! The paper workloads are fully deterministic — their cycle counts are a
 //! property of the generated code, not of the host — so the default cycle
@@ -206,6 +209,28 @@ pub struct WorkloadDelta {
     pub regressed: bool,
 }
 
+/// One labelled region's cycle diff inside a workload, for baselines whose
+/// workload records carry `regions`. Regions are matched by label; one the
+/// baseline lacks compares against 0 cycles, so a new region regresses like
+/// growth does.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegionDelta {
+    /// Workload name.
+    pub workload: String,
+    /// Region label.
+    pub label: String,
+    /// Cycles the baseline attributed to the region (0 when it is new).
+    pub baseline_cycles: u64,
+    /// Cycles attributed to it now.
+    pub current_cycles: u64,
+    /// Growth in percent (positive = more cycles now).
+    pub delta_pct: f64,
+    /// The workload's cycle threshold.
+    pub threshold_pct: f64,
+    /// Whether the growth exceeds the threshold.
+    pub regressed: bool,
+}
+
 /// One throughput record's ops/sec diff (only populated when enabled).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputDelta {
@@ -275,6 +300,10 @@ pub struct Comparison {
     pub current_version: u64,
     /// Per-workload cycle diffs, in current-document order.
     pub deltas: Vec<WorkloadDelta>,
+    /// Per-region cycle diffs of the current document's regions, for
+    /// workloads whose baseline record carries `regions` (empty for older
+    /// baselines).
+    pub regions: Vec<RegionDelta>,
     /// Throughput diffs (empty unless enabled in the thresholds).
     pub throughput: Vec<ThroughputDelta>,
     /// The parallel scaling gate (`None` unless enabled in the thresholds).
@@ -295,6 +324,7 @@ impl Comparison {
     pub fn regressed(&self) -> bool {
         !self.missing_in_current.is_empty()
             || self.deltas.iter().any(|d| d.regressed)
+            || self.regions.iter().any(|r| r.regressed)
             || self.throughput.iter().any(|t| t.regressed)
             || self.parallel.as_ref().is_some_and(|p| p.regressed)
             || self.lint.as_ref().is_some_and(|l| l.regressed)
@@ -327,6 +357,31 @@ impl Comparison {
                 "{:<28} {:>12} {:>12} {:>+8.2}%  {verdict} (threshold {:+.2}%)",
                 d.workload, d.baseline_cycles, d.current_cycles, d.delta_pct, d.threshold_pct
             );
+        }
+        if !self.regions.is_empty() {
+            let changed: Vec<&RegionDelta> = self
+                .regions
+                .iter()
+                .filter(|r| r.current_cycles != r.baseline_cycles)
+                .collect();
+            let _ = writeln!(
+                out,
+                "regions: {} compared, {} changed",
+                self.regions.len(),
+                changed.len()
+            );
+            for r in changed {
+                let verdict = if r.regressed { "REGRESSED" } else { "improved" };
+                let _ = writeln!(
+                    out,
+                    "  {:<26} {:>12} {:>12} {:>+8.2}%  {verdict} (region, threshold {:+.2}%)",
+                    format!("{}/{}", r.workload, r.label),
+                    r.baseline_cycles,
+                    r.current_cycles,
+                    r.delta_pct,
+                    r.threshold_pct
+                );
+            }
         }
         for t in &self.throughput {
             let verdict = if t.regressed { "REGRESSED" } else { "ok" };
@@ -394,6 +449,42 @@ fn workload_cycles(doc: &Json, section_missing: &str) -> Result<Vec<(String, u64
         .collect()
 }
 
+/// One workload's `(label, cycles)` regions, in document order.
+type Regions = Vec<(String, u64)>;
+
+/// Each workload's regions, in document order, for the workload records
+/// that carry a `regions` array.
+fn workload_regions(doc: &Json, section_missing: &str) -> Result<Vec<(String, Regions)>, String> {
+    let records = doc
+        .get("workloads")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{section_missing}: no `workloads` array"))?;
+    let mut out = Vec::new();
+    for r in records {
+        let (Some(name), Some(regions)) = (
+            r.get("workload").and_then(Json::as_str),
+            r.get("regions").and_then(Json::as_array),
+        ) else {
+            continue;
+        };
+        let regions = regions
+            .iter()
+            .map(|region| {
+                let label = region.get("label").and_then(Json::as_str);
+                let cycles = region.get("cycles").and_then(Json::as_u64);
+                match (label, cycles) {
+                    (Some(label), Some(cycles)) => Ok((label.to_string(), cycles)),
+                    _ => Err(format!(
+                        "{section_missing}: `{name}` has a region without a label and cycles"
+                    )),
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        out.push((name.to_string(), regions));
+    }
+    Ok(out)
+}
+
 fn pct_change(baseline: u64, current: u64) -> f64 {
     if baseline == 0 {
         if current == 0 {
@@ -450,6 +541,33 @@ pub fn compare(
         .filter(|n| !current_names.contains_key(n.as_str()))
         .cloned()
         .collect();
+
+    let base_regions: BTreeMap<String, Regions> = workload_regions(baseline, "baseline")?
+        .into_iter()
+        .collect();
+    let mut regions = Vec::new();
+    for (name, current_regions) in workload_regions(current, "current")? {
+        let Some(base) = base_regions.get(&name) else {
+            continue;
+        };
+        let threshold_pct = thresholds.cycles_pct_for(&name);
+        for (label, current_cycles) in current_regions {
+            let baseline_cycles = base
+                .iter()
+                .find(|(l, _)| *l == label)
+                .map_or(0, |&(_, c)| c);
+            let delta_pct = pct_change(baseline_cycles, current_cycles);
+            regions.push(RegionDelta {
+                workload: name.clone(),
+                label,
+                baseline_cycles,
+                current_cycles,
+                delta_pct,
+                threshold_pct,
+                regressed: delta_pct > threshold_pct,
+            });
+        }
+    }
 
     let mut throughput = Vec::new();
     if thresholds.throughput_enabled {
@@ -540,6 +658,7 @@ pub fn compare(
         baseline_version,
         current_version,
         deltas,
+        regions,
         throughput,
         parallel,
         lint,
@@ -637,6 +756,91 @@ mod tests {
         let cmp = compare(&cur, &base, &Thresholds::default()).unwrap();
         assert!(cmp.regressed());
         assert_eq!(cmp.missing_in_current, vec!["gone".to_string()]);
+    }
+
+    /// A document of one workload, `name`, whose cycles are its regions'
+    /// sum; `regions: None` leaves the record without a `regions` array.
+    fn regioned(name: &str, regions: Option<&[(&str, u64)]>) -> Json {
+        let total = regions.map_or(100, |rs| rs.iter().map(|&(_, c)| c).sum());
+        let mut record = vec![
+            ("workload".to_string(), Json::str(name)),
+            ("cycles".to_string(), Json::uint(total)),
+        ];
+        if let Some(rs) = regions {
+            let rs = rs
+                .iter()
+                .map(|&(label, cycles)| {
+                    Json::object(vec![
+                        ("label".to_string(), Json::str(label)),
+                        ("cycles".to_string(), Json::uint(cycles)),
+                    ])
+                })
+                .collect();
+            record.push(("regions".to_string(), Json::Array(rs)));
+        }
+        Json::object(vec![(
+            "workloads".to_string(),
+            Json::Array(vec![Json::object(record)]),
+        )])
+    }
+
+    #[test]
+    fn identical_regions_pass() {
+        let rs: &[(&str, u64)] = &[("<entry>", 10), ("loop", 80), ("done", 10)];
+        let cmp = compare(
+            &regioned("w", Some(rs)),
+            &regioned("w", Some(rs)),
+            &Thresholds::default(),
+        )
+        .unwrap();
+        assert!(!cmp.regressed(), "{}", cmp.render());
+        assert_eq!(cmp.regions.len(), 3);
+        assert!(
+            cmp.render().contains("regions: 3 compared, 0 changed"),
+            "{}",
+            cmp.render()
+        );
+    }
+
+    #[test]
+    fn cycles_moved_between_regions_regress() {
+        let base = regioned("w", Some(&[("<entry>", 10), ("loop", 80), ("done", 10)]));
+        // The same total, with two cycles moved from the loop to the tail.
+        let cur = regioned("w", Some(&[("<entry>", 10), ("loop", 78), ("done", 12)]));
+        let cmp = compare(&cur, &base, &Thresholds::default()).unwrap();
+        assert!(!cmp.deltas[0].regressed, "the total holds");
+        assert!(cmp.regressed(), "{}", cmp.render());
+        let grown: Vec<&str> = cmp
+            .regions
+            .iter()
+            .filter(|r| r.regressed)
+            .map(|r| r.label.as_str())
+            .collect();
+        assert_eq!(grown, ["done"]);
+        let text = cmp.render();
+        assert!(text.contains("w/done"), "{text}");
+        assert!(text.contains("w/loop"), "{text}");
+
+        // A region the baseline never had regresses like growth from zero.
+        let cur = regioned("w", Some(&[("<entry>", 10), ("loop", 80), ("tail", 10)]));
+        let cmp = compare(&cur, &base, &Thresholds::default()).unwrap();
+        assert!(cmp.regressed(), "{}", cmp.render());
+        assert_eq!(cmp.regions[2].baseline_cycles, 0);
+
+        // The workload's cycle threshold applies to its regions.
+        let cur = regioned("w", Some(&[("<entry>", 10), ("loop", 78), ("done", 12)]));
+        let mut relaxed = Thresholds::default();
+        relaxed.cycles_overrides.insert("w".to_string(), 25.0);
+        assert!(!compare(&cur, &base, &relaxed).unwrap().regressed());
+    }
+
+    #[test]
+    fn region_less_baselines_skip_the_region_gate() {
+        let cur = regioned("w", Some(&[("<entry>", 10), ("loop", 90)]));
+        let cmp = compare(&cur, &regioned("w", None), &Thresholds::default()).unwrap();
+        assert!(cmp.regions.is_empty());
+        assert!(!cmp.regressed(), "{}", cmp.render());
+        assert!(!cmp.render().contains("regions:"), "{}", cmp.render());
     }
 
     #[test]

@@ -145,6 +145,52 @@ fn bench_catches_an_injected_ten_percent_cycle_regression() {
 }
 
 #[test]
+fn bench_catches_cycles_moved_between_regions() {
+    // Doctor a baseline that carries regions: move two cycles from the
+    // first region of `general_divide` to its second. The workload total is
+    // unchanged, so only the per-region gate can see it.
+    let text = std::fs::read_to_string(repo_file("BENCH_pr10.json")).unwrap();
+    let mut doc = parse(&text).unwrap();
+    let Json::Object(pairs) = &mut doc else {
+        panic!("document must be an object")
+    };
+    let (_, Json::Array(records)) = pairs.iter_mut().find(|(k, _)| k == "workloads").unwrap()
+    else {
+        panic!("workloads must be an array")
+    };
+    let record = records
+        .iter_mut()
+        .find(|r| r.get("workload").and_then(Json::as_str) == Some("general_divide"))
+        .unwrap();
+    let Json::Object(fields) = record else {
+        panic!("record must be an object")
+    };
+    let (_, Json::Array(regions)) = fields.iter_mut().find(|(k, _)| k == "regions").unwrap() else {
+        panic!("regions must be an array")
+    };
+    for (region, moved) in regions.iter_mut().zip([2i64, -2]) {
+        let Json::Object(fields) = region else {
+            panic!("region must be an object")
+        };
+        let (_, cycles) = fields.iter_mut().find(|(k, _)| k == "cycles").unwrap();
+        *cycles = Json::uint((cycles.as_u64().unwrap() as i64 + moved) as u64);
+    }
+    let path = temp_json("moved_regions", &doc);
+    let out = hppa()
+        .args(["bench", "--compare", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !out.status.success(),
+        "moved cycles must regress:\n{stdout}"
+    );
+    assert!(stdout.contains("general_divide/"), "{stdout}");
+    assert!(stdout.contains("REGRESSED (region"), "{stdout}");
+}
+
+#[test]
 fn bench_refuses_a_future_schema_version() {
     let doc = Json::object(vec![
         ("schema_version".to_string(), Json::uint(99)),

@@ -6,7 +6,9 @@
 //! trace and profile on: the instrumented loop). "Bit-identical" means the
 //! final machine state and all run counters (cycles, executed, nullified,
 //! taken branches) and the termination agree exactly; the observed run's
-//! stats, trace and profile must also account for every slot.
+//! stats, trace and profile must also account for every slot. An observed
+//! `PreparedProgram::run`, whose stats regions come from the table built at
+//! preparation, must return the observed `run_fn`'s whole result.
 //!
 //! Equivalence alone would let both runs be identically *wrong*, so each
 //! completed run is additionally anchored to `oracle::reference` — the
@@ -35,6 +37,10 @@ fn assert_bit_identical(name: &str, p: &Program, a: u32, b: u32) -> (Machine, Ru
         let mut m_bare = Machine::with_regs(&inputs);
         let r_bare = PreparedProgram::new(p, config).run(&mut m_bare);
         let what = format!("{name}({a}, {b}) under {overflow:?}");
+        let mut m_prep = Machine::with_regs(&inputs);
+        let r_prep = PreparedProgram::new(p, observed).run(&mut m_prep);
+        assert_eq!(m_prep, m_obs, "{what}: observed prepared machine state");
+        assert_eq!(r_prep, r_obs, "{what}: observed prepared result");
         assert_eq!(m_obs, m_bare, "{what}: machine state");
         assert_eq!(r_obs.cycles, r_bare.cycles, "{what}: cycles");
         assert_eq!(r_obs.executed, r_bare.executed, "{what}: executed");
