@@ -58,7 +58,9 @@ mod tempfree;
 pub use chain::{Chain, ChainError, Ref, Step, StepMix};
 pub use exhaustive::{optimal_chain, optimal_len, SearchLimits};
 pub use frontier::{Frontier, FrontierConfig};
-pub use rules::{find_chain, find_chain_minimal, find_chain_with, RuleConfig, RuleSearcher};
+pub use rules::{
+    find_chain, find_chain_minimal, find_chain_with, MulHasher, RuleConfig, RuleSearcher,
+};
 pub use tempfree::temp_free_lengths;
 
 /// Builds the [`telemetry::Event::ChainSearch`] record for a finished chain.

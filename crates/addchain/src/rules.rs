@@ -132,15 +132,30 @@ pub struct RuleSearcher {
 /// nothing.
 type Memo = HashMap<u64, (u32, Move), BuildHasherDefault<MulHasher>>;
 
-/// One folded 64×64→128-bit multiply per `u64` key.
+/// A hasher for keys that are a program's own small integers, where
+/// SipHash's flooding resistance buys nothing: one folded 64×64→128-bit
+/// multiply per integer written (a derived `Hash` writes one per field and
+/// one per enum discriminant). Shared with the `hppa-muldiv` compile cache.
 #[derive(Debug, Default)]
-struct MulHasher(u64);
+pub struct MulHasher(u64);
 
 impl Hasher for MulHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.write_u64(u64::from(byte));
         }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 
     fn write_u64(&mut self, n: u64) {

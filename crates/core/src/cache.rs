@@ -8,17 +8,20 @@
 //! the overflow model is baked into the prepared program, so two compilers
 //! that would generate different executables never share an entry.
 //!
-//! Since 0.3 the cache is thread-safe: a [`ShardedCache`] hashes each key
-//! to one of N independent LRU shards, each behind its own `Mutex`, so
-//! worker threads compiling different constants rarely contend on the same
-//! lock while still paying each chain search / magic derivation only once
-//! process-wide.
+//! The cache is one exact LRU behind one `Mutex`: a map from key to a slot
+//! in a slab of entries, whose slots form an intrusive recency list. A hit
+//! is a hash probe plus a relink and an eviction pops the list's tail, so
+//! both are O(1), and every one of the `capacity` slots is usable by any
+//! key. Engine workers never compile (constant operations compile on the
+//! calling thread), so only user threads sharing one `Compiler` take the
+//! lock.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+use addchain::MulHasher;
 use pa_sim::OverflowModel;
 
 use crate::compiler::{CompiledOp, OpKind};
@@ -30,14 +33,173 @@ pub(crate) struct CacheKey {
     pub overflow: OverflowModel,
 }
 
-/// A bounded most-recently-used cache. Entries are kept in recency order
-/// (most recent at the back); capacity is small enough that the linear key
-/// scan is cheaper than hashing would be.
-#[derive(Debug, Clone)]
-pub(crate) struct CompileCache {
+/// Occupancy and traffic counters of the compile cache, for telemetry
+/// gauges and the `hppa metrics` exporters. The cache is one LRU, so
+/// [`Compiler::cache_stats`](crate::Compiler::cache_stats) returns exactly
+/// one of these, with `shard: 0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheShardStats {
+    /// Always 0: the cache is a single LRU.
+    pub shard: usize,
+    /// Entries currently resident.
+    pub entries: usize,
+    /// Lookups that found their key.
+    pub hits: u64,
+    /// Lookups that missed (each is followed by a cold compile).
+    pub misses: u64,
+    /// Entries pushed out by the LRU bound.
+    pub evictions: u64,
+    /// Times the cache's lock was found poisoned and healed (contents
+    /// dropped, poison flag cleared). Always zero unless a thread panicked
+    /// while holding the lock — in practice, only under an armed
+    /// [`FaultPlan`](pa_sim::FaultPlan) shard-poison drill.
+    pub recoveries: u64,
+}
+
+/// The end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One resident entry, linked into the recency list by slab index.
+#[derive(Debug)]
+struct Slot {
+    key: CacheKey,
+    op: CompiledOp,
+    /// The next more recently used slot, or [`NIL`] at the head.
+    newer: usize,
+    /// The next less recently used slot, or [`NIL`] at the tail.
+    older: usize,
+}
+
+/// The exact LRU the lock guards, with its traffic counters.
+///
+/// Slots are only ever appended (until `capacity` is reached) or reused in
+/// place by an eviction, so the slab has no holes and needs no free list.
+#[derive(Debug)]
+struct Lru {
     capacity: usize,
-    entries: Vec<(CacheKey, CompiledOp)>,
+    /// Keyed by the program's own constants, so SipHash's flooding
+    /// resistance buys nothing: never more than `capacity` keys, so even
+    /// keys crafted to collide cost a probe at most a scan of them.
+    index: HashMap<CacheKey, usize, BuildHasherDefault<MulHasher>>,
+    slots: Vec<Slot>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next to evict.
+    tail: usize,
+    hits: u64,
+    misses: u64,
     evictions: u64,
+    recoveries: u64,
+}
+
+impl Lru {
+    fn new(capacity: usize) -> Lru {
+        Lru {
+            capacity,
+            index: HashMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            recoveries: 0,
+        }
+    }
+
+    /// Drops every resident entry (recovery path: entries recompile on
+    /// demand, so discarding is always safe). Traffic counters are kept.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    fn unlink(&mut self, at: usize) {
+        let Slot { newer, older, .. } = self.slots[at];
+        match newer {
+            NIL => self.head = older,
+            newer => self.slots[newer].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            older => self.slots[older].newer = newer,
+        }
+    }
+
+    fn push_head(&mut self, at: usize) {
+        self.slots[at].newer = NIL;
+        self.slots[at].older = self.head;
+        match self.head {
+            NIL => self.tail = at,
+            head => self.slots[head].newer = at,
+        }
+        self.head = at;
+    }
+
+    fn touch(&mut self, at: usize) {
+        if self.head != at {
+            self.unlink(at);
+            self.push_head(at);
+        }
+    }
+
+    fn lookup(&mut self, key: &CacheKey) -> Option<CompiledOp> {
+        let Some(&at) = self.index.get(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.touch(at);
+        Some(self.slots[at].op.clone())
+    }
+
+    fn insert(&mut self, key: CacheKey, op: CompiledOp) {
+        if self.capacity == 0 {
+            return;
+        }
+        // Two threads that missed the same key both compile it; the later
+        // insert replaces the earlier one's program and refreshes it.
+        if let Some(&at) = self.index.get(&key) {
+            self.slots[at].op = op;
+            self.touch(at);
+            return;
+        }
+        let at = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                key,
+                op,
+                newer: NIL,
+                older: NIL,
+            });
+            self.slots.len() - 1
+        } else {
+            let at = self.tail;
+            self.unlink(at);
+            let evicted = std::mem::replace(&mut self.slots[at].key, key);
+            self.index.remove(&evicted);
+            self.slots[at].op = op;
+            self.evictions += 1;
+            at
+        };
+        self.index.insert(key, at);
+        self.push_head(at);
+    }
+}
+
+/// The thread-safe compile cache: one exact LRU of at most `capacity`
+/// entries behind one `Mutex`. Shared by every clone of a
+/// [`Compiler`](crate::Compiler) (behind an `Arc`), so every distinct
+/// compile is paid once however many threads share the compiler.
+#[derive(Debug)]
+pub(crate) struct CompileCache {
+    lru: Mutex<Lru>,
+    /// Set when a fault plan has armed the lock for self-poisoning on the
+    /// next lookup. Swapped back atomically when it fires, so the drill
+    /// injects exactly once no matter how many threads race through
+    /// lookups.
+    armed_poison: AtomicBool,
 }
 
 impl CompileCache {
@@ -45,268 +207,100 @@ impl CompileCache {
     /// distinct-constant count.
     pub const DEFAULT_CAPACITY: usize = 128;
 
+    /// A cache holding at most `capacity` entries; zero disables caching.
     pub fn new(capacity: usize) -> CompileCache {
         CompileCache {
-            capacity,
-            entries: Vec::new(),
-            evictions: 0,
+            lru: Mutex::new(Lru::new(capacity)),
+            armed_poison: AtomicBool::new(false),
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|poisoned| {
+            // A thread panicked while holding the lock. Its recency list
+            // may be torn mid-relink, so heal rather than trust it: drop
+            // the contents (entries recompile on demand — discarding is
+            // always correct, just cold), clear the poison flag so later
+            // locks are clean, and carry on with the healed cache.
+            let mut lru = poisoned.into_inner();
+            lru.clear();
+            lru.recoveries += 1;
+            self.lru.clear_poison();
+            lru
+        })
     }
 
-    /// Drops every resident entry (recovery path: entries recompile on
-    /// demand, so discarding is always safe). Traffic counters are kept by
-    /// the owning shard, not here, so only occupancy resets.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn lookup(&mut self, key: &CacheKey) -> Option<CompiledOp> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        let entry = self.entries.remove(idx);
-        let op = entry.1.clone();
-        self.entries.push(entry);
-        Some(op)
-    }
-
-    /// Inserts `op` under `key`, evicting the least-recently-used entry when
-    /// over capacity. A capacity of zero disables caching entirely.
-    pub fn insert(&mut self, key: CacheKey, op: CompiledOp) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries.retain(|(k, _)| k != &key);
-        self.entries.push((key, op));
-        while self.entries.len() > self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-    }
-}
-
-/// Per-shard occupancy and traffic counters, for telemetry gauges and the
-/// `hppa metrics` exporters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheShardStats {
-    /// Which shard (0-based).
-    pub shard: usize,
-    /// Entries currently resident in this shard.
-    pub entries: usize,
-    /// Lookups that found their key here.
-    pub hits: u64,
-    /// Lookups that missed here (each is followed by a cold compile).
-    pub misses: u64,
-    /// Entries pushed out by the shard's LRU bound.
-    pub evictions: u64,
-    /// Times this shard's lock was found poisoned and healed (contents
-    /// dropped, poison flag cleared). Always zero unless a worker thread
-    /// panicked while holding the lock — in practice, only under an armed
-    /// [`FaultPlan`](pa_sim::FaultPlan) shard-poison drill.
-    pub recoveries: u64,
-}
-
-/// One lockable shard: its LRU plus hit/miss counters. Eviction counting
-/// lives inside [`CompileCache`] itself so the single-shard unit tests see
-/// it too.
-#[derive(Debug)]
-struct Shard {
-    cache: CompileCache,
-    hits: u64,
-    misses: u64,
-    recoveries: u64,
-}
-
-/// A thread-safe compile cache: `shards` independent LRUs, each behind its
-/// own `Mutex`, with keys routed by hash. Shared by every clone of a
-/// [`Compiler`](crate::Compiler) (behind an `Arc`), so a pool of worker
-/// threads pays each distinct compile once while contending only when two
-/// keys land in the same shard.
-#[derive(Debug)]
-pub(crate) struct ShardedCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// Shard index a fault plan has armed for self-poisoning on the next
-    /// lookup; `usize::MAX` (the default) means unarmed. Swapped back to
-    /// unarmed atomically when it fires, so the drill injects exactly once
-    /// no matter how many threads race through lookups.
-    armed_poison: AtomicUsize,
-}
-
-impl ShardedCache {
-    /// Default shard count — small enough that per-shard capacity stays
-    /// useful, large enough that an 8-worker pool rarely collides.
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// Builds a cache holding at most `capacity` entries in total, spread
-    /// over `shards` locks. The capacity is distributed exactly (the first
-    /// `capacity % shards` shards get one extra slot), so the total bound
-    /// is never exceeded; to keep every shard useful, the shard count is
-    /// clamped to `1..=capacity`. A capacity of zero disables caching.
-    ///
-    /// Eviction is LRU *per shard*: with more than one shard, which entry
-    /// evicts depends on how keys hash. Callers that need the exact global
-    /// LRU order of the pre-0.3 cache should ask for one shard.
-    pub fn new(capacity: usize, shards: usize) -> ShardedCache {
-        let shards = shards.clamp(1, capacity.max(1));
-        let (base, extra) = (capacity / shards, capacity % shards);
-        let shards = (0..shards)
-            .map(|i| {
-                Mutex::new(Shard {
-                    cache: CompileCache::new(base + usize::from(i < extra)),
-                    hits: 0,
-                    misses: 0,
-                    recoveries: 0,
-                })
-            })
-            .collect();
-        ShardedCache {
-            shards,
-            armed_poison: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard `key` routes to.
-    pub fn shard_for(&self, key: &CacheKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    fn lock(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard> {
-        match self.shards[idx].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                // Another thread panicked while holding this shard. Its
-                // LRU recency list may be torn mid-update, so heal rather
-                // than trust it: drop the contents (entries recompile on
-                // demand — discarding is always correct, just cold) and
-                // clear the poison flag so later locks are clean.
-                let mut guard = poisoned.into_inner();
-                guard.cache.clear();
-                guard.recoveries += 1;
-                self.shards[idx].clear_poison();
-                guard
-            }
-        }
-    }
-
-    /// Arms the cache to poison `shard` (clamped into range) on the next
-    /// lookup, for chaos drills. The shard is poisoned for real — a helper
-    /// thread takes the lock and panics — so recovery exercises the same
-    /// path a genuine mid-compile panic would.
-    pub fn arm_poison(&self, shard: usize) {
-        self.armed_poison
-            .store(shard.min(self.shards.len() - 1), Ordering::Relaxed);
+    /// Arms the cache to poison its lock on the next lookup, for chaos
+    /// drills. The lock is poisoned for real — a helper thread takes it and
+    /// panics — so recovery exercises the same path a genuine mid-compile
+    /// panic would.
+    pub fn arm_poison(&self) {
+        self.armed_poison.store(true, Ordering::Relaxed);
     }
 
     /// Fires an armed poison exactly once (first caller wins the swap).
     fn maybe_inject_poison(&self) {
-        let armed = self.armed_poison.load(Ordering::Relaxed);
-        if armed == usize::MAX
-            || self.armed_poison.swap(usize::MAX, Ordering::Relaxed) == usize::MAX
+        if !self.armed_poison.load(Ordering::Relaxed)
+            || !self.armed_poison.swap(false, Ordering::Relaxed)
         {
             return;
         }
+        self.poison();
+        telemetry::emit(|| telemetry::Event::FaultInjected {
+            kind: "shard-poison",
+            target: "shard 0".to_string(),
+            at: 0,
+        });
+    }
+
+    /// Poisons the lock: a helper thread takes it and panics holding it.
+    fn poison(&self) {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
-                let _guard = self.shards[armed]
+                let _guard = self
+                    .lru
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 panic!("chaos: injected shard poison");
             });
             assert!(handle.join().is_err(), "poison thread must panic");
         });
-        telemetry::emit(|| telemetry::Event::FaultInjected {
-            kind: "shard-poison",
-            target: format!("shard {armed}"),
-            at: 0,
-        });
     }
 
-    /// Looks up `key` in its shard, refreshing recency and counting the
-    /// hit or miss.
+    /// Looks up `key`, refreshing its recency and counting the hit or miss.
     ///
-    /// A poisoned shard is retried exactly once: the first lock attempt
-    /// heals it (contents dropped, poison cleared, recovery counted) and
-    /// the retry below runs against the healed shard, so a single panicked
-    /// writer costs subsequent readers one cold miss — never an error and
-    /// never a stale torn entry.
+    /// A poisoned lock is healed by the lock call itself (contents dropped,
+    /// poison cleared, recovery counted) and the lookup then runs against
+    /// the healed cache, so a single panicked writer costs later readers one
+    /// cold miss — never an error and never a stale torn entry. The lock is
+    /// released before this returns.
     pub fn lookup(&self, key: &CacheKey) -> Option<CompiledOp> {
         self.maybe_inject_poison();
-        let idx = self.shard_for(key);
-        if self.shards[idx].is_poisoned() {
-            drop(self.lock(idx)); // heal, then retry once below
-        }
-        let mut shard = self.lock(idx);
-        let found = shard.cache.lookup(key);
-        if found.is_some() {
-            shard.hits += 1;
-        } else {
-            shard.misses += 1;
-        }
-        found
+        self.lock().lookup(key)
     }
 
-    /// Inserts `op` into `key`'s shard.
+    /// Inserts `op` under `key`, evicting the least-recently-used entry when
+    /// the cache is full.
     pub fn insert(&self, key: CacheKey, op: CompiledOp) {
-        let mut shard = self.lock(self.shard_for(&key));
-        shard.cache.insert(key, op);
+        self.lock().insert(key, op);
     }
 
-    /// Entries resident across all shards.
-    ///
-    /// Holds at most one shard lock at a time (each `lock` guard is
-    /// dropped before the next shard is taken), so callers may invoke this
-    /// while other threads hold — or poison — individual shards without
-    /// any lock-ordering hazard. The compile path relies on this: it
-    /// reports `entries()` in its telemetry right after releasing the
-    /// lookup guard, and a concurrent panicked writer must not deadlock
-    /// it (pinned by `poisoned_shard_does_not_deadlock_the_stats_paths`).
+    /// Entries resident.
     pub fn entries(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock(i).cache.len())
-            .sum()
+        self.lock().slots.len()
     }
 
-    /// A stats snapshot per shard, in shard order. Like
-    /// [`entries`](ShardedCache::entries), takes one lock at a time.
+    /// The stats snapshot: exactly one entry, `shard: 0`.
     pub fn stats(&self) -> Vec<CacheShardStats> {
-        (0..self.shards.len())
-            .map(|i| {
-                let shard = self.lock(i);
-                CacheShardStats {
-                    shard: i,
-                    entries: shard.cache.len(),
-                    hits: shard.hits,
-                    misses: shard.misses,
-                    evictions: shard.cache.evictions,
-                    recoveries: shard.recoveries,
-                }
-            })
-            .collect()
-    }
-
-    /// Poisons `idx` directly (no arming), for tests: a helper thread
-    /// locks the shard and panics while holding it.
-    #[cfg(test)]
-    fn poison_for_test(&self, idx: usize) {
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let _guard = self.shards[idx]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("test: injected shard poison");
-            });
-            assert!(handle.join().is_err());
-        });
-        assert!(self.shards[idx].is_poisoned());
+        let lru = self.lock();
+        vec![CacheShardStats {
+            shard: 0,
+            entries: lru.slots.len(),
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
+            recoveries: lru.recoveries,
+        }]
     }
 }
 
@@ -326,12 +320,34 @@ mod tests {
         Compiler::new().mul_const(n).unwrap()
     }
 
+    /// The resident keys, most recently used first, walked both ways: the
+    /// two directions of the recency list must agree.
+    fn recency(cache: &CompileCache) -> Vec<CacheKey> {
+        let lru = cache.lock();
+        let mut newest_first = Vec::new();
+        let mut at = lru.head;
+        while at != NIL {
+            newest_first.push(lru.slots[at].key);
+            at = lru.slots[at].older;
+        }
+        let mut oldest_first = Vec::new();
+        let mut at = lru.tail;
+        while at != NIL {
+            oldest_first.push(lru.slots[at].key);
+            at = lru.slots[at].newer;
+        }
+        oldest_first.reverse();
+        assert_eq!(newest_first, oldest_first, "recency list is torn");
+        assert_eq!(newest_first.len(), lru.index.len());
+        newest_first
+    }
+
     #[test]
     fn lookup_returns_inserted_entries() {
-        let mut cache = CompileCache::new(4);
+        let cache = CompileCache::new(4);
         assert!(cache.lookup(&key(10)).is_none());
         cache.insert(key(10), op(10));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries(), 1);
         let hit = cache.lookup(&key(10)).expect("hit");
         assert_eq!(
             hit.kind(),
@@ -340,11 +356,14 @@ mod tests {
                 checked: false
             }
         );
+        let stats = cache.stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].shard, stats[0].hits, stats[0].misses), (0, 1, 1));
     }
 
     #[test]
     fn eviction_is_least_recently_used() {
-        let mut cache = CompileCache::new(2);
+        let cache = CompileCache::new(2);
         cache.insert(key(2), op(2));
         cache.insert(key(3), op(3));
         cache.lookup(&key(2)); // refresh 2 → 3 is now LRU
@@ -352,6 +371,27 @@ mod tests {
         assert!(cache.lookup(&key(3)).is_none(), "LRU entry evicted");
         assert!(cache.lookup(&key(2)).is_some());
         assert!(cache.lookup(&key(5)).is_some());
+        assert_eq!(cache.stats()[0].evictions, 1);
+    }
+
+    #[test]
+    fn recency_list_tracks_every_hit_insert_and_eviction() {
+        let cache = CompileCache::new(3);
+        for n in [2, 3, 5] {
+            cache.insert(key(n), op(n));
+        }
+        assert_eq!(recency(&cache), [key(5), key(3), key(2)]);
+        cache.lookup(&key(3)); // middle to head
+        assert_eq!(recency(&cache), [key(3), key(5), key(2)]);
+        cache.lookup(&key(2)); // tail to head
+        assert_eq!(recency(&cache), [key(2), key(3), key(5)]);
+        cache.lookup(&key(2)); // head stays put
+        assert_eq!(recency(&cache), [key(2), key(3), key(5)]);
+        cache.insert(key(7), op(7)); // evicts the tail, 5
+        assert_eq!(recency(&cache), [key(7), key(2), key(3)]);
+        cache.insert(key(3), op(3)); // re-insert refreshes, evicts nothing
+        assert_eq!(recency(&cache), [key(3), key(7), key(2)]);
+        assert_eq!(cache.stats()[0].evictions, 1);
     }
 
     #[test]
@@ -363,11 +403,11 @@ mod tests {
         let uop = |y: u32| Compiler::new().udiv_const(y).unwrap();
         // Mul and div entries share one recency list, not per-family lists:
         // a hot multiply must be able to evict a stale divide and vice versa.
-        let mut cache = CompileCache::new(3);
+        let cache = CompileCache::new(3);
         cache.insert(key(3), op(3));
         cache.insert(ukey(3), uop(3));
         cache.insert(key(5), op(5));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries(), 3);
         // Refresh the divide: the oldest *multiply* is now LRU.
         assert!(cache.lookup(&ukey(3)).is_some());
         cache.insert(ukey(7), uop(7));
@@ -379,12 +419,12 @@ mod tests {
         assert!(cache.lookup(&ukey(7)).is_none(), "div 7 was LRU");
         assert!(cache.lookup(&key(5)).is_some());
         assert!(cache.lookup(&key(9)).is_some());
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries(), 3);
     }
 
     #[test]
     fn mul_and_div_keys_with_equal_constants_are_distinct() {
-        let mut cache = CompileCache::new(4);
+        let cache = CompileCache::new(4);
         cache.insert(key(3), op(3));
         let div3 = CacheKey {
             kind: OpKind::UdivConst { y: 3 },
@@ -392,7 +432,7 @@ mod tests {
         };
         assert!(cache.lookup(&div3).is_none(), "udiv 3 must not alias mul 3");
         cache.insert(div3, Compiler::new().udiv_const(3).unwrap());
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries(), 2);
         assert_eq!(
             cache.lookup(&key(3)).unwrap().kind(),
             OpKind::MulConst {
@@ -408,15 +448,15 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut cache = CompileCache::new(0);
+        let cache = CompileCache::new(0);
         cache.insert(key(10), op(10));
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.entries(), 0);
         assert!(cache.lookup(&key(10)).is_none());
     }
 
     #[test]
     fn overflow_model_separates_entries() {
-        let mut cache = CompileCache::new(4);
+        let cache = CompileCache::new(4);
         cache.insert(key(10), op(10));
         let precise = CacheKey {
             kind: OpKind::MulConst {
@@ -429,74 +469,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_routes_hits_and_misses_per_shard() {
-        let cache = ShardedCache::new(64, 4);
-        assert_eq!(cache.shard_count(), 4);
-        assert!(cache.lookup(&key(10)).is_none(), "cold lookup misses");
-        cache.insert(key(10), op(10));
-        assert!(cache.lookup(&key(10)).is_some());
-        assert_eq!(cache.entries(), 1);
-        let stats = cache.stats();
-        let shard = cache.shard_for(&key(10));
-        assert_eq!(stats[shard].hits, 1);
-        assert_eq!(stats[shard].misses, 1);
-        assert_eq!(stats[shard].entries, 1);
-        let elsewhere: u64 = stats
-            .iter()
-            .filter(|s| s.shard != shard)
-            .map(|s| s.hits + s.misses)
-            .sum();
-        assert_eq!(elsewhere, 0, "traffic lands only on the key's shard");
-    }
-
-    #[test]
-    fn sharded_cache_keys_route_deterministically() {
-        let cache = ShardedCache::new(64, 8);
-        for n in 0..50 {
-            assert_eq!(cache.shard_for(&key(n)), cache.shard_for(&key(n)));
-        }
-    }
-
-    #[test]
-    fn sharded_cache_zero_capacity_disables_caching() {
-        let cache = ShardedCache::new(0, 4);
-        cache.insert(key(10), op(10));
-        assert_eq!(cache.entries(), 0);
-        assert!(cache.lookup(&key(10)).is_none());
-    }
-
-    #[test]
-    fn sharded_cache_counts_evictions() {
-        // One shard, capacity 2: the third distinct key must evict.
-        let cache = ShardedCache::new(2, 1);
-        for n in [2i64, 3, 5, 7] {
-            cache.insert(key(n), op(n));
-        }
-        assert_eq!(cache.entries(), 2);
-        assert_eq!(cache.stats()[0].evictions, 2);
-    }
-
-    #[test]
-    fn poisoned_shard_heals_and_subsequent_lookups_hit() {
-        let cache = ShardedCache::new(64, 1);
+    fn poisoned_lock_heals_and_subsequent_lookups_hit() {
+        let cache = CompileCache::new(64);
         cache.insert(key(7), op(7));
         assert!(cache.lookup(&key(7)).is_some());
-        cache.poison_for_test(0);
+        cache.poison();
+        assert!(cache.lru.is_poisoned());
         // First post-poison lookup heals: contents dropped, one recovery
         // counted, and the lookup itself completes as a cold miss.
-        assert!(cache.lookup(&key(7)).is_none(), "healed shard is cold");
+        assert!(cache.lookup(&key(7)).is_none(), "healed cache is cold");
+        assert!(!cache.lru.is_poisoned());
         assert_eq!(cache.stats()[0].recoveries, 1);
-        // The shard is fully live again: reinsert, then hit.
+        // The cache is fully live again: reinsert, then hit.
         cache.insert(key(7), op(7));
-        assert!(cache.lookup(&key(7)).is_some(), "recovered shard hits");
+        assert!(cache.lookup(&key(7)).is_some(), "recovered cache hits");
+        assert_eq!(recency(&cache), [key(7)]);
         assert_eq!(cache.stats()[0].recoveries, 1, "healed exactly once");
     }
 
     #[test]
     fn armed_poison_fires_exactly_once_and_emits() {
-        let cache = ShardedCache::new(64, 1);
+        let cache = CompileCache::new(64);
         cache.insert(key(3), op(3));
-        cache.arm_poison(0);
+        cache.arm_poison();
         let (_, events) = telemetry::collect(|| {
             // The armed lookup trips the poison, heals, and misses cold;
             // later lookups are ordinary.
@@ -505,42 +500,38 @@ mod tests {
             assert!(cache.lookup(&key(3)).is_some());
         });
         assert_eq!(cache.stats()[0].recoveries, 1);
-        let kinds: Vec<String> = events
+        let faults: Vec<&telemetry::Event> = events
             .iter()
-            .map(telemetry::Event::strategy_key)
-            .filter(|k| k.starts_with("fault/"))
+            .filter(|e| e.strategy_key().starts_with("fault/"))
             .collect();
-        assert_eq!(kinds, ["fault/shard-poison"]);
+        assert_eq!(faults.len(), 1);
+        assert!(matches!(
+            faults[0],
+            telemetry::Event::FaultInjected {
+                kind: "shard-poison",
+                target,
+                ..
+            } if target == "shard 0"
+        ));
     }
 
+    /// Pins the compile path's double-lock shape: `lookup` takes the lock
+    /// and releases it, then the telemetry closure calls `entries()`, which
+    /// takes it again. Under contention — and with the lock being poisoned
+    /// mid-flight — this must never deadlock and every thread's traffic
+    /// must be accounted.
     #[test]
-    fn armed_poison_index_is_clamped_into_range() {
-        let cache = ShardedCache::new(64, 2);
-        cache.arm_poison(usize::MAX - 1); // out of range: clamps to last
-        assert!(cache.lookup(&key(1)).is_none());
-        let recoveries: u64 = cache.stats().iter().map(|s| s.recoveries).sum();
-        // The clamped shard was poisoned and heals on whichever path
-        // touches it first (this lookup, or the stats sweep above).
-        assert_eq!(recoveries, 1);
-    }
-
-    /// Pins the compile path's double-lock shape: `lookup` takes one shard
-    /// lock and releases it, then the telemetry closure calls `entries()`,
-    /// which re-locks every shard one at a time. Under contention — and
-    /// with shards being poisoned mid-flight — this must never deadlock
-    /// and every thread's traffic must be accounted.
-    #[test]
-    fn poisoned_shard_does_not_deadlock_the_stats_paths() {
-        use std::sync::Arc;
-        let cache = Arc::new(ShardedCache::new(64, 4));
+    fn poisoned_lock_does_not_deadlock_the_stats_paths() {
+        let cache = CompileCache::new(64);
+        let seeded = op(7);
         std::thread::scope(|scope| {
-            for t in 0..4 {
-                let cache = Arc::clone(&cache);
+            for t in 0..4i64 {
+                let (cache, seeded) = (&cache, &seeded);
                 scope.spawn(move || {
                     for i in 0..50 {
-                        let k = key(i64::from(t) * 100 + i);
+                        let k = key(t * 100 + i);
                         if cache.lookup(&k).is_none() {
-                            cache.insert(k, op(7));
+                            cache.insert(k, seeded.clone());
                         }
                         // The same lookup-then-sweep sequence the compile
                         // path's telemetry performs.
@@ -549,35 +540,34 @@ mod tests {
                     }
                 });
             }
-            // Meanwhile, keep poisoning shards out from under them.
-            let cache = Arc::clone(&cache);
+            // Meanwhile, keep poisoning the lock out from under them.
+            let cache = &cache;
             scope.spawn(move || {
-                for round in 0..8 {
-                    cache.poison_for_test(round % 4);
+                for _ in 0..8 {
+                    cache.poison();
                     std::thread::yield_now();
                 }
             });
         });
-        let stats = cache.stats();
-        let total: u64 = stats.iter().map(|s| s.hits + s.misses).sum();
-        assert_eq!(total, 4 * 50, "every lookup counted, none deadlocked");
-        // Consecutive poisonings of one shard with no lock in between
-        // collapse into a single heal, so the tight bound is per shard,
-        // not per poisoning: every shard was poisoned and must have healed
-        // at least once by the time the stats sweep above completed.
-        let recoveries: u64 = stats.iter().map(|s| s.recoveries).sum();
-        assert!(recoveries >= 4, "every shard healed: {stats:?}");
+        let stats = cache.stats()[0];
+        assert_eq!(
+            stats.hits + stats.misses,
+            4 * 50,
+            "every lookup counted, none deadlocked"
+        );
+        // Consecutive poisonings with no lock in between collapse into a
+        // single heal, so only one heal is certain.
+        assert!(stats.recoveries >= 1, "the lock healed: {stats:?}");
+        recency(&cache);
     }
 
     #[test]
-    fn sharded_cache_is_shareable_across_threads() {
-        use std::sync::Arc;
-        let cache = Arc::new(ShardedCache::new(64, 4));
+    fn cache_is_shareable_across_threads() {
+        let cache = CompileCache::new(64);
         let seeded = op(7);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let seeded = seeded.clone();
+                let (cache, seeded) = (&cache, &seeded);
                 scope.spawn(move || {
                     for _ in 0..100 {
                         if cache.lookup(&key(7)).is_none() {
@@ -588,8 +578,7 @@ mod tests {
             }
         });
         assert_eq!(cache.entries(), 1, "all threads converged on one entry");
-        let stats = cache.stats();
-        let total: u64 = stats.iter().map(|s| s.hits + s.misses).sum();
-        assert_eq!(total, 400);
+        let stats = cache.stats()[0];
+        assert_eq!(stats.hits + stats.misses, 400);
     }
 }

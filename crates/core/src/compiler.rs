@@ -13,7 +13,7 @@ use pa_sim::{
     ExecConfig, FaultPlan, Machine, OverflowModel, PreparedProgram, Termination, TrapKind,
 };
 
-use crate::cache::{CacheKey, CacheShardStats, CompileCache, ShardedCache};
+use crate::cache::{CacheKey, CacheShardStats, CompileCache};
 use crate::session::BatchOutcome;
 use crate::{Error, Result};
 
@@ -276,7 +276,6 @@ pub struct CompilerBuilder {
     max_cycles: u64,
     stats: bool,
     cache_capacity: usize,
-    cache_shards: usize,
     fault_plan: Option<FaultPlan>,
     lint: LintLevel,
     #[cfg(test)]
@@ -364,7 +363,6 @@ impl CompilerBuilder {
             max_cycles: ExecConfig::default().max_cycles,
             stats: false,
             cache_capacity: CompileCache::DEFAULT_CAPACITY,
-            cache_shards: ShardedCache::DEFAULT_SHARDS,
             fault_plan: None,
             lint: default_lint_level(),
             #[cfg(test)]
@@ -413,21 +411,10 @@ impl CompilerBuilder {
         self
     }
 
-    /// Number of independent lock shards the cache is split into (clamped
-    /// to at least one). More shards means less contention when many worker
-    /// threads compile concurrently; strict validation lives on
-    /// [`RuntimeBuilder::cache_shards`](crate::RuntimeBuilder::cache_shards),
-    /// whose `build` can report errors.
-    #[must_use]
-    pub fn cache_shards(mut self, shards: usize) -> CompilerBuilder {
-        self.cache_shards = shards;
-        self
-    }
-
     /// Arms a deterministic fault-injection plan for chaos drills (see
     /// [`pa_sim::fault`]). Compiled programs then execute under the plan
     /// (with divergence checking), and a shard-poison plan arms the compile
-    /// cache to poison its target on first lookup. `None` — the default —
+    /// cache to poison its lock on first lookup. `None` — the default —
     /// is the production setting and adds no per-run work beyond a single
     /// `Option` check.
     #[must_use]
@@ -468,9 +455,9 @@ impl CompilerBuilder {
             stats: self.stats,
             fault_plan: self.fault_plan,
         };
-        let cache = Arc::new(ShardedCache::new(self.cache_capacity, self.cache_shards));
-        if let Some(shard) = exec.fault_plan.as_ref().and_then(FaultPlan::poisons_shard) {
-            cache.arm_poison(shard);
+        let cache = Arc::new(CompileCache::new(self.cache_capacity));
+        if matches!(exec.fault_plan, Some(FaultPlan::ShardPoison { .. })) {
+            cache.arm_poison();
         }
         Compiler {
             mul_cfg: CodegenConfig::default(),
@@ -490,10 +477,12 @@ impl CompilerBuilder {
 /// bounded, strategy-keyed cache: compiling the same constant twice does
 /// the chain search / magic derivation once.
 ///
-/// The cache is sharded and thread-safe, and it sits behind an `Arc`:
-/// `Compiler` is `Send + Sync`, `&Compiler` can be used from many threads
-/// at once, and **clones share the same cache**, so a worker pool holding
-/// one clone each still pays every distinct compile exactly once.
+/// The cache is one exact LRU of
+/// [`cache_capacity`](CompilerBuilder::cache_capacity) entries behind one
+/// lock, and it sits behind an `Arc`: `Compiler` is `Send + Sync`,
+/// `&Compiler` can be used from many threads at once, and **clones share
+/// the same cache**, so a worker pool holding one clone each still pays
+/// every distinct compile exactly once.
 ///
 /// # Example
 ///
@@ -514,7 +503,7 @@ pub struct Compiler {
     div_cfg: DivCodegenConfig,
     exec: ExecConfig,
     trapping_mul: bool,
-    cache: Arc<ShardedCache>,
+    cache: Arc<CompileCache>,
     lint: LintLevel,
     #[cfg(test)]
     miscompile: Miscompile,
@@ -596,25 +585,18 @@ impl Compiler {
         self.compile(OpKind::SremConst { y })
     }
 
-    /// Cached programs currently resident (summed across shards).
+    /// Cached programs currently resident.
     #[must_use]
     pub fn cached_ops(&self) -> usize {
         self.cache.entries()
     }
 
-    /// Per-shard occupancy and hit/miss/eviction counters, in shard order.
-    /// Counters are cumulative over the cache's lifetime and shared with
-    /// every clone of this compiler.
+    /// The cache's occupancy and hit/miss/eviction/recovery counters, as
+    /// exactly one entry (`shard: 0`). Counters are cumulative over the
+    /// cache's lifetime and shared with every clone of this compiler.
     #[must_use]
     pub fn cache_stats(&self) -> Vec<CacheShardStats> {
         self.cache.stats()
-    }
-
-    /// Lock shards the cache is split into (after clamping to the
-    /// capacity, so every shard holds at least one entry).
-    #[must_use]
-    pub fn cache_shard_count(&self) -> usize {
-        self.cache.shard_count()
     }
 
     fn compile(&self, kind: OpKind) -> Result<CompiledOp> {

@@ -1,5 +1,5 @@
 //! The parallel execution service: a worker pool over the millicode
-//! routines and the sharded compile cache.
+//! routines and the compile cache.
 //!
 //! [`ParallelExecutor`] partitions a batch into contiguous chunks, one per
 //! logical worker, and runs those chunks on only as many threads as the
@@ -7,7 +7,7 @@
 //! The calling thread runs the first group of chunks itself, so a small
 //! batch spawns nothing. Each chunk runs on its own [`pa_sim::Machine`]
 //! (via a private [`Session`]) and shares the runtime's prepared routines
-//! and the compiler's sharded cache by `Arc`, so the expensive work — chain
+//! and the compiler's cache by `Arc`, so the expensive work — chain
 //! search, magic derivation, preparation — is paid once process-wide no
 //! matter how many threads run.
 //!
@@ -48,11 +48,12 @@ use crate::{Error, Result};
 const MIN_OPS_PER_THREAD: usize = 4096;
 
 /// A worker-pool batch executor sharing one runtime's routines and one
-/// sharded compile cache across `workers` logical workers.
+/// compile cache across `workers` logical workers.
 ///
 /// Obtain one from [`Runtime::engine`](crate::Runtime::engine); configure
-/// the pool with [`RuntimeBuilder::workers`](crate::RuntimeBuilder::workers)
-/// and [`RuntimeBuilder::cache_shards`](crate::RuntimeBuilder::cache_shards).
+/// the pool with [`RuntimeBuilder::workers`](crate::RuntimeBuilder::workers).
+/// Constant operations compile on the calling thread, so workers never
+/// take the cache's lock.
 ///
 /// # Example
 ///
@@ -77,16 +78,11 @@ pub struct ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    pub(crate) fn new(
-        routines: Arc<Routines>,
-        workers: NonZeroUsize,
-        cache_shards: NonZeroUsize,
-    ) -> ParallelExecutor {
+    pub(crate) fn new(routines: Arc<Routines>, workers: NonZeroUsize) -> ParallelExecutor {
         let mut builder = Compiler::builder()
             .overflow(routines.exec.overflow)
             .max_cycles(routines.exec.max_cycles)
-            .stats(routines.exec.stats)
-            .cache_shards(cache_shards.get());
+            .stats(routines.exec.stats);
         if let Some(plan) = &routines.exec.fault_plan {
             // Chaos drills flow through: compiled-op batches execute under
             // the plan, and a shard-poison plan arms the shared cache.
@@ -108,8 +104,8 @@ impl ParallelExecutor {
         self.workers
     }
 
-    /// A new executor over the **same** routines and the **same** sharded
-    /// compile cache, but a different pool width. Cheap — nothing is
+    /// A new executor over the **same** routines and the **same** compile
+    /// cache, but a different pool width. Cheap — nothing is
     /// recompiled or re-prepared — so it is the natural way to measure
     /// scaling across thread counts.
     ///
@@ -126,14 +122,15 @@ impl ParallelExecutor {
         })
     }
 
-    /// The compiler whose sharded cache this engine's constant-operation
+    /// The compiler whose cache this engine's constant-operation
     /// batches go through. Clones of it share the same cache.
     #[must_use]
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
     }
 
-    /// Per-shard hit/miss/eviction statistics of the shared compile cache.
+    /// Hit/miss/eviction statistics of the shared compile cache, as exactly
+    /// one entry (see [`Compiler::cache_stats`]).
     #[must_use]
     pub fn cache_stats(&self) -> Vec<CacheShardStats> {
         self.compiler.cache_stats()
@@ -175,7 +172,7 @@ impl ParallelExecutor {
         })
     }
 
-    /// Compiles `x * n` once (through the shared sharded cache) and runs
+    /// Compiles `x * n` once (through the shared compile cache) and runs
     /// the inputs through it, partitioned across the worker pool.
     ///
     /// # Errors
@@ -190,7 +187,7 @@ impl ParallelExecutor {
         })
     }
 
-    /// Compiles unsigned `x / y` once (through the shared sharded cache)
+    /// Compiles unsigned `x / y` once (through the shared compile cache)
     /// and runs the inputs through it, partitioned across the worker pool.
     ///
     /// # Errors

@@ -73,14 +73,13 @@
 //! let compiler = Compiler::builder()
 //!     .overflow(OverflowModel::Precise)
 //!     .trapping_mul(true)     // mul_const compiles Pascal-flavor chains
-//!     .cache_capacity(64)
+//!     .cache_capacity(64)  // one exact LRU of 64 compiled ops
 //!     .build();
 //! assert!(compiler.mul_const(5)?.run_i32(i32::MAX).is_err()); // traps
 //!
 //! let rt = Runtime::builder()
 //!     .dispatch_limit(12)
 //!     .workers(4)        // ParallelExecutor pool size
-//!     .cache_shards(8)   // compile-cache lock shards
 //!     .build()?;
 //! assert_eq!(rt.div_dispatch(100, 7)?.value, 14);
 //! # Ok(())

@@ -51,7 +51,6 @@ pub struct RuntimeBuilder {
     stats: bool,
     dispatch_limit: u32,
     workers: usize,
-    cache_shards: usize,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -63,7 +62,6 @@ impl RuntimeBuilder {
             stats: false,
             dispatch_limit: DISPATCH_LIMIT,
             workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            cache_shards: crate::cache::ShardedCache::DEFAULT_SHARDS,
             fault_plan: None,
         }
     }
@@ -109,16 +107,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Lock shards for the engine's shared compile cache. More shards
-    /// means less contention between workers compiling concurrently. Zero
-    /// is rejected by [`build`](RuntimeBuilder::build) with
-    /// [`Error::InvalidConfig`].
-    #[must_use]
-    pub fn cache_shards(mut self, shards: usize) -> RuntimeBuilder {
-        self.cache_shards = shards;
-        self
-    }
-
     /// Arms a deterministic fault-injection plan for chaos drills (see
     /// [`pa_sim::fault`]). Every routine call then runs under the plan —
     /// execution faults are injected and divergence-checked, a worker-kill
@@ -136,14 +124,12 @@ impl RuntimeBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] when `workers` or `cache_shards` is zero;
+    /// [`Error::InvalidConfig`] when `workers` is zero;
     /// otherwise propagates `pa_isa` construction errors (a bug if it ever
     /// fires).
     pub fn build(self) -> Result<Runtime> {
         let workers = NonZeroUsize::new(self.workers)
             .ok_or(Error::InvalidConfig("workers must be non-zero"))?;
-        let cache_shards = NonZeroUsize::new(self.cache_shards)
-            .ok_or(Error::InvalidConfig("cache_shards must be non-zero"))?;
         let _span = telemetry::span::enter("build_routines");
         let config = ExecConfig {
             overflow: self.overflow,
@@ -176,7 +162,6 @@ impl RuntimeBuilder {
         Ok(Runtime {
             routines: Arc::new(routines),
             workers,
-            cache_shards,
         })
     }
 }
@@ -213,7 +198,6 @@ impl RuntimeBuilder {
 pub struct Runtime {
     routines: Arc<Routines>,
     workers: NonZeroUsize,
-    cache_shards: NonZeroUsize,
 }
 
 impl Runtime {
@@ -241,11 +225,11 @@ impl Runtime {
     }
 
     /// Builds a worker-pool executor over this runtime's routines, using
-    /// the builder-configured [`workers`](RuntimeBuilder::workers) and
-    /// [`cache_shards`](RuntimeBuilder::cache_shards).
+    /// the builder-configured [`workers`](RuntimeBuilder::workers). Each
+    /// engine has a compile cache of its own.
     #[must_use]
     pub fn engine(&self) -> ParallelExecutor {
-        ParallelExecutor::new(Arc::clone(&self.routines), self.workers, self.cache_shards)
+        ParallelExecutor::new(Arc::clone(&self.routines), self.workers)
     }
 
     /// The dispatch-table divisor cutoff this runtime was built with.
@@ -258,12 +242,6 @@ impl Runtime {
     #[must_use]
     pub fn workers(&self) -> NonZeroUsize {
         self.workers
-    }
-
-    /// Compile-cache lock shards [`Runtime::engine`] will use.
-    #[must_use]
-    pub fn cache_shards(&self) -> NonZeroUsize {
-        self.cache_shards
     }
 
     /// Signed multiply via the §6 switched algorithm (wrapping, like C on
@@ -431,22 +409,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_workers_and_shards() {
+    fn builder_rejects_zero_workers() {
         assert_eq!(
             Runtime::builder().workers(0).build().unwrap_err(),
             Error::InvalidConfig("workers must be non-zero")
         );
-        assert_eq!(
-            Runtime::builder().cache_shards(0).build().unwrap_err(),
-            Error::InvalidConfig("cache_shards must be non-zero")
-        );
-        let rt = Runtime::builder()
-            .workers(3)
-            .cache_shards(5)
-            .build()
-            .unwrap();
+        let rt = Runtime::builder().workers(3).build().unwrap();
         assert_eq!(rt.workers().get(), 3);
-        assert_eq!(rt.cache_shards().get(), 5);
     }
 
     #[test]

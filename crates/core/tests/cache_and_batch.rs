@@ -137,14 +137,9 @@ fn eviction_preserves_correctness() {
 /// Interleaved multiply and divide compiles share one recency list: the
 /// telemetry hit/miss stream shows recently touched entries of either
 /// family surviving while the stale one — whatever its family — evicts.
-/// One shard pins down the exact global LRU order (with several shards,
-/// eviction order depends on how keys hash across them).
 #[test]
 fn interleaved_mul_div_eviction_is_lru_across_families() {
-    let c = Compiler::builder()
-        .cache_capacity(4)
-        .cache_shards(1)
-        .build();
+    let c = Compiler::builder().cache_capacity(4).build();
     // Fill: mul 3, udiv 3, urem 3, sdiv 3 — four distinct keys, one
     // constant, recency order oldest→newest as listed.
     c.mul_const(3).unwrap();
@@ -172,6 +167,29 @@ fn interleaved_mul_div_eviction_is_lru_across_families() {
     // The recompiled entry still divides correctly.
     assert_eq!(op.run_u32(10).unwrap(), 3);
     assert_eq!(c.cached_ops(), 4);
+}
+
+/// A default compiler holds as many constants as its capacity: after the
+/// multipliers 2..=129 (128 keys, the default capacity) compile once,
+/// cycling over them never misses and never evicts.
+#[test]
+fn default_cache_holds_its_full_capacity() {
+    let c = Compiler::new();
+    for n in 2..=129i64 {
+        c.mul_const(n).unwrap();
+    }
+    let warm = c.cache_stats()[0];
+    assert_eq!(warm.entries, 128);
+    for _ in 0..100 {
+        for n in 2..=129i64 {
+            c.mul_const(n).unwrap();
+        }
+    }
+    let after = c.cache_stats();
+    assert_eq!(after.len(), 1);
+    assert_eq!(after[0].misses, warm.misses, "a resident key missed");
+    assert_eq!(after[0].hits, warm.hits + 100 * 128);
+    assert_eq!((after[0].entries, after[0].evictions), (128, 0));
 }
 
 /// A mul/div interleave wider than the capacity churns the cache without

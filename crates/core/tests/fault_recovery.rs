@@ -152,11 +152,11 @@ fn register_flips_are_typed_or_oracle_correct_at_every_width() {
 
 #[test]
 fn poisoned_shard_recovers_and_subsequent_lookups_hit() {
+    // The cache is one lock, so the shard index clamps to it.
     let compiler = Compiler::builder()
-        .cache_shards(4)
         .fault_plan(FaultPlan::ShardPoison { shard: 2 })
         .build();
-    // First compile trips the armed poison (a worker thread locks the shard
+    // First compile trips the armed poison (a helper thread locks the cache
     // and panics for real), the lookup path heals it, and every compiled
     // result must still be oracle-correct.
     for y in [3u32, 7, 10, 57] {
@@ -174,7 +174,7 @@ fn poisoned_shard_recovers_and_subsequent_lookups_hit() {
         recoveries >= 1,
         "the armed poison never fired or never healed"
     );
-    // The healed shard serves hits again: recompiling the same constants
+    // The healed cache serves hits again: recompiling the same constants
     // must not miss.
     let misses_before: u64 = stats.iter().map(|s| s.misses).sum();
     let hits_before: u64 = stats.iter().map(|s| s.hits).sum();
@@ -191,7 +191,7 @@ fn poisoned_shard_recovers_and_subsequent_lookups_hit() {
 #[test]
 fn an_armed_engine_still_heals_its_poisoned_shard_mid_batch() {
     // The same poison drill through the runtime façade: the engine's
-    // constant-operation batches go through its shared sharded cache, and
+    // constant-operation batches go through its shared compile cache, and
     // `with_workers` clones share that cache (each `rt.engine()` call would
     // arm a fresh one, so the sweep keeps one engine and re-widths it).
     let rt = armed_runtime(FaultPlan::ShardPoison { shard: 0 });

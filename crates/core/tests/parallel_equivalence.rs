@@ -5,7 +5,8 @@
 //! fuzz corpus drawn from the PR 3 structured generator at a fixed seed.
 //!
 //! Also hosts the loom-free contention smoke test: eight threads hammering
-//! a single cache shard must never corrupt the LRU or return wrong code.
+//! the compile cache's one lock must never corrupt the LRU or return wrong
+//! code.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -191,7 +192,7 @@ fn error_identity_matches_serial_for_any_worker_count() {
 
 #[test]
 fn const_batches_are_identical_across_worker_counts() {
-    // Constant traffic exercises the sharded compile cache under the pool.
+    // Constant traffic exercises the compile cache under the pool.
     let inputs: Vec<i32> = CaseGenInputs::new(SEED).take(64).collect();
     let divisors = [3u32, 7, 1000];
     let serial = Compiler::new();
@@ -230,16 +231,13 @@ impl Iterator for CaseGenInputs {
 
 #[test]
 fn contention_smoke_one_shard_eight_threads() {
-    // One shard means every compile takes the same lock: the worst case
-    // for contention. Eight threads compile a rotating set of constants
-    // far beyond the capacity, forcing constant eviction churn, while
-    // checking every answer. No loom here — this is a liveness/correctness
-    // smoke, and the types forbid unsafe code.
-    let compiler = Compiler::builder()
-        .cache_capacity(4)
-        .cache_shards(1)
-        .build();
-    assert_eq!(compiler.cache_shard_count(), 1);
+    // Every compile takes the cache's one lock: the worst case for
+    // contention. Eight threads compile a rotating set of constants far
+    // beyond the capacity, forcing constant eviction churn, while checking
+    // every answer. No loom here — this is a liveness/correctness smoke,
+    // and the types forbid unsafe code.
+    let compiler = Compiler::builder().cache_capacity(4).build();
+    assert_eq!(compiler.cache_stats().len(), 1);
     std::thread::scope(|scope| {
         for t in 0..8u32 {
             let compiler = compiler.clone(); // clones share the cache

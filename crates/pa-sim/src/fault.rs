@@ -88,10 +88,11 @@ pub enum FaultPlan {
         /// Diagnostic code carried by the synthesised `BREAK`.
         code: u16,
     },
-    /// Poison the mutex of compile-cache shard `shard` on its next lookup.
-    /// Ignored by the simulator; the `hppa-muldiv` sharded cache acts on it.
+    /// Poison the mutex of the compile cache on its next lookup. Ignored by
+    /// the simulator; the `hppa-muldiv` cache acts on it.
     ShardPoison {
-        /// Target shard index (clamped to the shard count by the cache).
+        /// Target shard index. The cache is a single lock, so every index
+        /// clamps to 0.
         shard: usize,
     },
     /// Panic logical worker `worker` of the parallel engine mid-batch: the
@@ -121,15 +122,6 @@ impl FaultPlan {
     #[must_use]
     pub fn kills_worker(&self, worker: usize) -> bool {
         matches!(self, FaultPlan::WorkerKill { worker: w } if *w == worker)
-    }
-
-    /// The shard this plan poisons, if it is a shard-poison plan.
-    #[must_use]
-    pub fn poisons_shard(&self) -> Option<usize> {
-        match self {
-            FaultPlan::ShardPoison { shard } => Some(*shard),
-            _ => None,
-        }
     }
 
     /// Short drill-catalog name for the fault kind.
@@ -712,7 +704,8 @@ fn corrupt_op(op: Op, r: u64, len: usize) -> (Op, &'static str) {
 /// Re-runs the pristine program from `entry` and rewrites a completed
 /// faulted termination into a [`DIVERGENCE_BREAK`] trap when the final
 /// architectural state differs — the redundancy check behind the
-/// correct-result-or-typed-error guarantee.
+/// correct-result-or-typed-error guarantee. The run's stats, finalised
+/// before this check, count the rewritten trap here.
 fn check_against_pristine(
     program_len: usize,
     entry: &Machine,
@@ -737,6 +730,9 @@ fn check_against_pristine(
             kind: TrapKind::Break(DIVERGENCE_BREAK),
             at: program_len,
         });
+        if let Some(stats) = &mut result.stats {
+            stats.traps += 1;
+        }
     }
 }
 
@@ -966,8 +962,6 @@ mod tests {
         assert!(!poison.affects_execution());
         assert!(kill.kills_worker(2));
         assert!(!kill.kills_worker(1));
-        assert_eq!(poison.poisons_shard(), Some(3));
-        assert_eq!(flip.poisons_shard(), None);
         assert_eq!(flip.kind_name(), "register-flip");
         assert!(poison.to_string().contains("shard 3"));
     }

@@ -4,8 +4,10 @@
 //! stats-prepared `PreparedProgram`, which must agree.
 
 use pa_isa::{Cond, Program, ProgramBuilder, Reg};
-use pa_sim::fault::FaultPlan;
-use pa_sim::{run_fn, ExecConfig, Machine, PreparedProgram, RunResult, SimStats, Termination};
+use pa_sim::fault::{FaultPlan, DIVERGENCE_BREAK};
+use pa_sim::{
+    run_fn, ExecConfig, Machine, PreparedProgram, RunResult, SimStats, Termination, Trap, TrapKind,
+};
 
 /// Runs `p` with stats on, through the reference entry point and through a
 /// prepared program, and returns the (identical) result.
@@ -140,7 +142,18 @@ fn a_decode_corrupted_slot_counts_the_opcode_that_ran() {
         ],
         "one injection per run"
     );
+    // r28 ends 126 (7·8 + 7, doubled) where the pristine run ends 42, so
+    // the redundant check rewrites the completion into a divergence trap,
+    // and the stats count that trap.
+    assert_eq!(
+        r.termination,
+        Termination::Trapped(Trap {
+            kind: TrapKind::Break(DIVERGENCE_BREAK),
+            at: p.len(),
+        })
+    );
     let s = stats(&r);
+    assert_eq!((s.traps, s.faults), (1, 0));
     assert_eq!(s.per_opcode().get("sh3add"), Some(&1), "the corrupted slot");
     assert_eq!(s.per_opcode().get("sh1add"), None, "the original opcode");
     assert_eq!(s.per_opcode().get("add"), Some(&1));

@@ -16,7 +16,7 @@
 //! * **decode-corrupt** — one instruction slot of the switched multiply
 //!   millicode mutated before the run;
 //! * **register-flip** — one register bit flipped mid-run;
-//! * **shard-poison** — a compile-cache shard's mutex poisoned for real on
+//! * **shard-poison** — the compile cache's mutex poisoned for real on
 //!   first lookup, then required to heal and hit;
 //! * **worker-panic** — an engine worker killed mid-batch at pool widths
 //!   1/2/4/8.
@@ -36,7 +36,7 @@ use telemetry::{Event, JsonlSink};
 pub enum Drill {
     /// Kill an engine worker mid-batch at pool widths 1/2/4/8.
     WorkerPanic,
-    /// Poison a compile-cache shard and require heal-then-hit.
+    /// Poison the compile cache's lock and require heal-then-hit.
     ShardPoison,
     /// Sweep forced `BREAK` traps across the divide millicode.
     TrapStorm,
@@ -391,8 +391,8 @@ fn drill_register_flip(rng: &mut Rng, cases: u64) -> Result<Vec<DrillCase>, Stri
     Ok(out)
 }
 
-/// Real mutex poisoning of a compile-cache shard: the armed cache poisons
-/// itself on first lookup, must heal (counting a recovery), produce
+/// Real poisoning of the compile cache's mutex: the armed cache poisons
+/// its one lock on first lookup, must heal (counting a recovery), produce
 /// oracle-correct compiled results, and then *hit* on the recompiled entry.
 fn drill_shard_poison(rng: &mut Rng, cases: u64) -> Result<Vec<DrillCase>, String> {
     let mut out = Vec::new();
@@ -401,8 +401,7 @@ fn drill_shard_poison(rng: &mut Rng, cases: u64) -> Result<Vec<DrillCase>, Strin
         let x = rng.next_u32() & 0x3FFF;
         let plan = FaultPlan::ShardPoison { shard: 0 };
         let plan_text = plan.to_string();
-        // One shard so the poisoned shard is the one every key routes to.
-        let compiler = Compiler::builder().cache_shards(1).fault_plan(plan).build();
+        let compiler = Compiler::builder().fault_plan(plan).build();
         let op = compiler
             .udiv_const(y)
             .map_err(|e| format!("udiv_const({y}): {e}"))?;
@@ -410,7 +409,7 @@ fn drill_shard_poison(rng: &mut Rng, cases: u64) -> Result<Vec<DrillCase>, Strin
         let expect = oracle::reference::udiv(x, y).expect("y is non-zero");
         let case = match got {
             Ok(v) if v == expect => {
-                // The contract has two more legs here: the shard healed
+                // The contract has two more legs here: the lock healed
                 // (recovery counted) and the recompiled entry now hits.
                 let recoveries: u64 = compiler.cache_stats().iter().map(|s| s.recoveries).sum();
                 compiler
@@ -427,7 +426,7 @@ fn drill_shard_poison(rng: &mut Rng, cases: u64) -> Result<Vec<DrillCase>, Strin
                     DrillCase::wrong(
                         Drill::ShardPoison,
                         &plan_text,
-                        "healed shard did not serve a hit".to_string(),
+                        "healed cache did not serve a hit".to_string(),
                     )
                 } else {
                     DrillCase::correct(

@@ -18,32 +18,33 @@ pub fn paper_metrics() -> Registry {
     let (workloads, spans) = telemetry::span::trace(report::paper_workloads);
     let mut registry = registry_from_workloads(&workloads);
     registry.record_spans(&spans);
-    // Drive the §5 constant range through the sharded compile cache twice —
-    // a miss pass and a hit pass — so the per-shard series export live
-    // values rather than zeros.
+    // Drive the §5 constant range through the compile cache twice — a miss
+    // pass and a hit pass — so the cache series export live values rather
+    // than zeros.
     let compiler = hppa_muldiv::Compiler::new();
     for _ in 0..2 {
         for n in 2..=33i64 {
             let _ = compiler.mul_const(n);
         }
     }
-    record_cache_shards(&mut registry, &compiler.cache_stats());
+    record_cache(&mut registry, &compiler.cache_stats());
     registry
 }
 
-/// Folds per-shard compile-cache statistics into the registry: the
-/// `hppa_cache_shard_{hits,misses,evictions,recoveries}_total` counters and
-/// the `hppa_cache_shard_entries` gauge, all labelled by shard index.
-pub fn record_cache_shards(reg: &mut Registry, stats: &[CacheShardStats]) {
+/// Folds compile-cache statistics into the registry: the
+/// `hppa_cache_{hits,misses,evictions,recoveries}_total` counters and the
+/// `hppa_cache_entries` gauge, unlabelled. `stats` is what
+/// [`Compiler::cache_stats`](hppa_muldiv::Compiler::cache_stats) returns
+/// (one entry); several caches' snapshots are summed.
+pub fn record_cache(reg: &mut Registry, stats: &[CacheShardStats]) {
     for s in stats {
-        let shard = s.shard.to_string();
-        let labels = [("shard", shard.as_str())];
-        reg.inc_counter("hppa_cache_shard_hits_total", &labels, s.hits);
-        reg.inc_counter("hppa_cache_shard_misses_total", &labels, s.misses);
-        reg.inc_counter("hppa_cache_shard_evictions_total", &labels, s.evictions);
-        reg.inc_counter("hppa_cache_shard_recoveries_total", &labels, s.recoveries);
-        reg.set_gauge("hppa_cache_shard_entries", &labels, s.entries as f64);
+        reg.inc_counter("hppa_cache_hits_total", &[], s.hits);
+        reg.inc_counter("hppa_cache_misses_total", &[], s.misses);
+        reg.inc_counter("hppa_cache_evictions_total", &[], s.evictions);
+        reg.inc_counter("hppa_cache_recoveries_total", &[], s.recoveries);
     }
+    let entries: usize = stats.iter().map(|s| s.entries).sum();
+    reg.set_gauge("hppa_cache_entries", &[], entries as f64);
 }
 
 /// Folds finished workload reports into a registry (no spans).
@@ -173,46 +174,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_shard_series_fold_hits_misses_and_residency() {
-        let compiler = hppa_muldiv::Compiler::builder()
-            .cache_capacity(8)
-            .cache_shards(2)
-            .build();
+    fn cache_series_fold_hits_misses_evictions_and_residency() {
+        let compiler = hppa_muldiv::Compiler::builder().cache_capacity(3).build();
         for _ in 0..2 {
             for n in [3i64, 5, 7, 9] {
                 let _ = compiler.mul_const(n);
             }
         }
         let stats = compiler.cache_stats();
+        assert_eq!(stats.len(), 1);
         let mut reg = Registry::new();
-        record_cache_shards(&mut reg, &stats);
-        let mut hits = 0;
-        let mut misses = 0;
-        let mut entries = 0.0;
-        for s in &stats {
-            let shard = s.shard.to_string();
-            let labels = [("shard", shard.as_str())];
-            hits += reg.counter("hppa_cache_shard_hits_total", &labels).unwrap();
-            misses += reg
-                .counter("hppa_cache_shard_misses_total", &labels)
-                .unwrap();
-            assert_eq!(
-                reg.counter("hppa_cache_shard_evictions_total", &labels),
-                Some(s.evictions)
-            );
-            entries += reg.gauge("hppa_cache_shard_entries", &labels).unwrap();
-        }
-        // Four distinct constants, compiled twice: miss then hit each.
-        assert_eq!(misses, 4);
-        assert_eq!(hits, 4);
-        assert!((entries - 4.0).abs() < 1e-12);
-        // And the hppa metrics entry point exports the same series.
+        record_cache(&mut reg, &stats);
+        // Four distinct constants cycled twice through three slots: the
+        // exact LRU always evicts the next key wanted, so every lookup
+        // misses and every insert past the third evicts.
+        assert_eq!(reg.counter("hppa_cache_misses_total", &[]), Some(8));
+        assert_eq!(reg.counter("hppa_cache_hits_total", &[]), Some(0));
+        assert_eq!(reg.counter("hppa_cache_evictions_total", &[]), Some(5));
+        assert_eq!(reg.counter("hppa_cache_recoveries_total", &[]), Some(0));
+        assert_eq!(reg.gauge("hppa_cache_entries", &[]), Some(3.0));
+        // And the hppa metrics entry point exports the same series, with no
+        // shard label.
         let text = paper_metrics().to_prometheus();
-        assert!(
-            text.contains("hppa_cache_shard_hits_total{shard="),
-            "{text}"
-        );
-        assert!(text.contains("hppa_cache_shard_entries{shard="), "{text}");
+        assert!(text.contains("\nhppa_cache_hits_total 32\n"), "{text}");
+        assert!(text.contains("\nhppa_cache_entries 32\n"), "{text}");
+        assert!(!text.contains("shard"), "{text}");
     }
 
     #[test]
